@@ -21,9 +21,7 @@ builds and checks the algebra and audits given sets against it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (
     EliminationBasis,
@@ -205,19 +203,6 @@ def _edge_dependency_failure(edge: GridEdge, ctx, lam_cache, comp_cache) -> str 
     return None
 
 
-def _verify_dependency_chunk(args) -> str | None:
-    dims, thick, r, family, start, stop = args
-    spec = GridSpec(dims, thick, r)
-    ctx = build_context(spec, family)
-    lam_cache: dict = {}
-    comp_cache: dict = {}
-    for edge in itertools.islice(enumerate_edges(spec, "K"), start, stop):
-        failure = _edge_dependency_failure(edge, ctx, lam_cache, comp_cache)
-        if failure is not None:
-            return failure
-    return None
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Verified certificate: context, per-vertex vectors (row-major by vertex
@@ -233,20 +218,14 @@ class Certificate:
         return self.f_vectors[encode_vertex(self.context.spec, v)]
 
 
-def certified_lower_bound(spec: GridSpec, family: str = "K", jobs: int = 1) -> Certificate:
+def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     """Build the certificate and verify it exactly.
 
     Dependency sums are always checked over the "K" edge set, which contains
     the "P" edge set, so one verification covers both families.  Any nonzero
     dependency residual or rank deficit raises CertificateError; on success
     the lower bound equals the extremal-set size.
-
-    ``jobs`` > 1 splits the per-edge dependency checks across worker
-    processes; the result is a conjunction and does not depend on the worker
-    count.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ctx = build_context(spec, family)
     f_vectors = tuple(
         tuple(certificate_vector(decode_vertex(spec, i), ctx)) for i in range(spec.num_vertices)
@@ -256,24 +235,12 @@ def certified_lower_bound(spec: GridSpec, family: str = "K", jobs: int = 1) -> C
     if rank != ctx.u_size:
         raise CertificateError(f"span deficit: rank {rank} != extremal size {ctx.u_size}")
 
-    total_edges = sum(1 for _ in enumerate_edges(spec, "K"))
-    if jobs == 1 or total_edges < 2 * jobs:
-        lam_cache: dict = {}
-        comp_cache: dict = {}
-        for edge in enumerate_edges(spec, "K"):
-            failure = _edge_dependency_failure(edge, ctx, lam_cache, comp_cache)
-            if failure is not None:
-                raise CertificateError(failure)
-    else:
-        bounds = [total_edges * i // jobs for i in range(jobs + 1)]
-        chunks = [
-            (spec.dims, spec.thick, spec.r, family, bounds[i], bounds[i + 1])
-            for i in range(jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for failure in pool.map(_verify_dependency_chunk, chunks):
-                if failure is not None:
-                    raise CertificateError(failure)
+    lam_cache: dict = {}
+    comp_cache: dict = {}
+    for edge in enumerate_edges(spec, "K"):
+        failure = _edge_dependency_failure(edge, ctx, lam_cache, comp_cache)
+        if failure is not None:
+            raise CertificateError(failure)
 
     return Certificate(
         context=ctx,
@@ -348,8 +315,8 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
 def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> dict:
     """JSON-ready form of a certificate.
 
-    Vectors are serialized as rational strings; with the fixed matrix rule and
-    enumeration order the output is byte-reproducible.
+    Vector entries are serialized as decimal integer strings; with the fixed
+    matrix rule and enumeration order the output is byte-reproducible.
     """
     ctx = cert.context
     out = {
@@ -362,5 +329,5 @@ def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> d
         "uSize": ctx.u_size,
     }
     if include_f_vectors:
-        out["fVectors"] = [[str(Fraction(x)) for x in row] for row in cert.f_vectors]
+        out["fVectors"] = [[str(x) for x in row] for row in cert.f_vectors]
     return out

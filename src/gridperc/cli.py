@@ -103,6 +103,16 @@ def _emit_csv(args, header, rows) -> None:
     _write(args, buf.getvalue())
 
 
+def _found(result) -> dict:
+    """Output fields of an exhaustive search that found a percolating set."""
+    return {"minimum": result.minimum, "witness": list(result.witness), "tested": result.tested}
+
+
+def _not_found() -> int:
+    print("error: no percolating set found within bounds", file=sys.stderr)
+    return 1
+
+
 def _cmd_formula(args) -> int:
     spec = _parse_spec(args)
     value = extremal_size(spec)
@@ -187,14 +197,14 @@ def _cmd_closure(args) -> int:
 
 def _cmd_certify(args) -> int:
     spec = _parse_spec(args)
-    cert = certified_lower_bound(spec, args.family, jobs=args.jobs)
+    cert = certified_lower_bound(spec, args.family)
     _emit_json(args, certificate_to_dict(cert, include_f_vectors=args.include_f_vectors))
     return 0
 
 
 def _cmd_audit(args) -> int:
     spec = _parse_spec(args)
-    cert = certified_lower_bound(spec, args.family, jobs=args.jobs)
+    cert = certified_lower_bound(spec, args.family)
     if args.infected is not None:
         vertices = [decode_vertex(spec, i) for i in _int_list(args.infected)]
     else:
@@ -225,14 +235,11 @@ def _cmd_minperc(args) -> int:
     if args.exhaustive:
         result = min_percolating_exact(h, budget=args.budget)
         if result is None:
-            print("error: no percolating set found within bounds", file=sys.stderr)
-            return 1
+            return _not_found()
         payload = {
             "family": args.family,
             "mode": "exhaustive",
-            "minimum": result.minimum,
-            "witness": list(result.witness),
-            "tested": result.tested,
+            **_found(result),
         }
     else:
         cert = certified_lower_bound(spec, args.family)
@@ -271,15 +278,12 @@ def _cmd_rneighbour(args) -> int:
     if args.exhaustive:
         result = min_r_neighbour_percolating(g, args.r, budget=args.budget)
         if result is None:
-            print("error: no percolating set found within bounds", file=sys.stderr)
-            return 1
+            return _not_found()
         payload = {
             "graph": desc,
             "r": args.r,
             "mode": "exhaustive",
-            "minimum": result.minimum,
-            "witness": list(result.witness),
-            "tested": result.tested,
+            **_found(result),
         }
     else:
         witness = greedy_r_neighbour_upper_bound(g, args.r, trials=args.trials, seed=args.seed)
@@ -303,8 +307,7 @@ def _cmd_wsat(args) -> int:
     h = weak_saturation_hypergraph(args.n, args.k)
     result = min_percolating_exact(h, budget=args.budget)
     if result is None:
-        print("error: no percolating set found within bounds", file=sys.stderr)
-        return 1
+        return _not_found()
     _emit_json(
         args,
         {
@@ -312,9 +315,7 @@ def _cmd_wsat(args) -> int:
             "k": args.k,
             "numVertices": h.num_vertices,
             "numEdges": len(h.edges),
-            "minimum": result.minimum,
-            "witness": list(result.witness),
-            "tested": result.tested,
+            **_found(result),
         },
     )
     return 0
@@ -340,8 +341,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown family {f!r} in --families")
     rows = []
     for spec in _sweep_specs(args):
-        cert = certified_lower_bound(spec, "K", jobs=args.jobs)
-        u_size = len(extremal_set(spec))
+        cert = certified_lower_bound(spec, "K")
+        u_size = cert.context.u_size
         for family in families:
             started = time.perf_counter()
             formula = extremal_size(spec)
@@ -406,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and verify the exact lower-bound certificate")
     _add_spec_args(p)
     p.add_argument("--include-f-vectors", action="store_true", help="serialize the per-vertex vectors")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for dependency checks")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_certify)
 
@@ -414,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--infected", default=None, help="comma ids of the initial set (default: extremal set)")
     p.add_argument("--remove", default=None, help="comma ids to drop from the initial set")
-    p.add_argument("--jobs", type=int, default=1)
     _add_output_args(p)
     p.set_defaults(handler=_cmd_audit)
 
@@ -452,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="K,P")
     p.add_argument("--brute-tests", type=int, default=0,
                    help="also brute-force specs whose predicted subset count fits this cap")
-    p.add_argument("--jobs", type=int, default=1)
     _add_output_args(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_sweep)
 

@@ -1,17 +1,19 @@
-"""Exact rational linear algebra for the lower-bound certificates.
+"""Exact linear algebra for the lower-bound certificates.
 
 Matrices are sequences of equal-length rows holding int or Fraction entries;
-nothing is ever rounded.  Determinants and ranks use fraction-free (Bareiss)
-elimination: after clearing row denominators, every intermediate value is a
-minor of the integer input, so all divisions are exact integer divisions and
-intermediate growth is bounded by the minors themselves.
+nothing is ever rounded.  Every elimination runs through one fraction-free
+integer kernel, EliminationBasis: an incremental Bareiss echelon.  A row with
+Fraction entries is multiplied by the lcm of its denominators on entry, which
+leaves its span unchanged; from then on every intermediate value is a minor of
+the integer rows, so all divisions are exact integer divisions and growth is
+bounded by the minors themselves.  matrix_rank and det insert their rows into
+a basis and read the rank and the last pivot off it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -31,49 +33,85 @@ def _as_rows(matrix) -> list[list]:
 
 def _clear_denominators(row) -> tuple[list[int], int]:
     """Integer multiple of the row and the positive scale used."""
-    scale = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    return [int(x * scale) for x in row], scale
+    try:
+        scale = math.lcm(*(x.denominator for x in row))
+    except AttributeError:
+        raise TypeError(f"entries must be int or Fraction, got {row!r}") from None
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    # Mutates a.  Standard two-step fraction-free elimination; every division
-    # is by the previous pivot and is exact.
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+class EliminationBasis:
+    """Incrementally maintained row space of int/Fraction vectors.
+
+    Stored rows form a fraction-free (Bareiss 1968) echelon in insertion
+    order: row k has pivot column c_k and pivot p_k = row_k[c_k], and is zero
+    in the pivot columns of the rows before it.  A vector v, with its
+    denominators cleared, is reduced against each row k in turn by
+    v <- (p_k*v - v[c_k]*row_k) // p_{k-1}, with p_{-1} = 1.  By Sylvester's
+    identity every entry is then a minor of the integer rows, so each
+    division is exact.  insert() keeps a nonzero remainder as a new row
+    pivoted at its first nonzero entry and reports whether the span grew;
+    inserting a vector already in the span leaves the state unchanged.
+    """
+
+    def __init__(self, ncols: int) -> None:
+        if ncols < 0:
+            raise ValueError(f"negative column count {ncols}")
+        self.ncols = ncols
+        self._pivot_cols: list[int] = []
+        self._rows: list[list[int]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vector) -> list[int]:
+        v = _clear_denominators(vector)[0]
+        if len(v) != self.ncols:
+            raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
+        prev = 1
+        for col, row in zip(self._pivot_cols, self._rows):
+            pivot, c = row[col], v[col]
+            v = [(pivot * x - c * y) // prev for x, y in zip(v, row)]
+            prev = pivot
+        return v
+
+    def insert(self, vector) -> bool:
+        v = self._reduce(vector)
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        self._pivot_cols.append(lead)
+        self._rows.append(v)
+        return True
+
+    def contains(self, vector) -> bool:
+        """Membership test without mutating the basis."""
+        return not any(self._reduce(vector))
+
+
+def _permutation_sign(perm) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def det(matrix):
     """Exact determinant of a square int/Fraction matrix.
 
-    Returns an int when every entry is an integer, otherwise a Fraction.
+    Returns an int when the determinant is an integer, otherwise a Fraction.
+    The last pivot of the echelon is the determinant of the cleared rows with
+    their columns in pivot order.
     """
     rows = _as_rows(matrix)
     if len(rows) != len(rows[0]):
         raise ValueError(f"determinant needs a square matrix, got {len(rows)}x{len(rows[0])}")
-    cleared = []
-    denom = 1
-    for row in rows:
-        ints, scale = _clear_denominators(row)
-        cleared.append(ints)
-        denom *= scale
-    value = _bareiss_det(cleared)
+    cleared = [_clear_denominators(row) for row in rows]
+    basis = EliminationBasis(len(rows))
+    if not all(basis.insert(ints) for ints, _scale in cleared):
+        return 0
+    cols = basis._pivot_cols
+    value = _permutation_sign(cols) * basis._rows[-1][cols[-1]]
+    denom = math.prod(scale for _ints, scale in cleared)
     if denom == 1:
         return value
     result = Fraction(value, denom)
@@ -81,31 +119,15 @@ def det(matrix):
 
 
 def matrix_rank(matrix) -> int:
-    """Exact rank via fraction-free elimination with column pivoting.
-
-    Row scaling by denominator lcms leaves the rank unchanged, so the
-    elimination itself runs entirely over the integers.
-    """
+    """Exact rank: the rows are inserted into one EliminationBasis, stopping
+    once the rank reaches the column count."""
     rows = _as_rows(matrix)
-    a = [_clear_denominators(row)[0] for row in rows]
-    m, ncols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, m):
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = a[rank][col]
-        rank += 1
-        if rank == m:
+    basis = EliminationBasis(len(rows[0]))
+    for row in rows:
+        if basis.rank == basis.ncols:
             break
-    return rank
+        basis.insert(row)
+    return basis.rank
 
 
 def build_general_position_matrix(n: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -168,60 +190,3 @@ def dependency_coeffs(matrix, row_indices) -> tuple:
         coeffs.append(c)
         sign = -sign
     return tuple(coeffs)
-
-
-class EliminationBasis:
-    """Incrementally maintained row space over the rationals.
-
-    Stored rows are fully reduced: each has pivot entry 1 and zeros in every
-    other pivot column, with pivot columns strictly increasing.  insert()
-    reduces a vector against the basis and reports whether it enlarged the
-    span; inserting a vector already in the span leaves the state unchanged.
-    """
-
-    def __init__(self, ncols: int) -> None:
-        if ncols < 0:
-            raise ValueError(f"negative column count {ncols}")
-        self.ncols = ncols
-        self._pivot_cols: list[int] = []
-        self._rows: list[list[Fraction]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def insert(self, vector) -> bool:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ncols:
-            raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
-        for col, row in zip(self._pivot_cols, self._rows):
-            c = v[col]
-            if c:
-                for j in range(col, self.ncols):
-                    v[j] -= c * row[j]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = v[lead]
-        new_row = [x / inv for x in v]
-        for row in self._rows:
-            c = row[lead]
-            if c:
-                for j in range(lead, self.ncols):
-                    row[j] -= c * new_row[j]
-        pos = bisect_left(self._pivot_cols, lead)
-        self._pivot_cols.insert(pos, lead)
-        self._rows.insert(pos, new_row)
-        return True
-
-    def contains(self, vector) -> bool:
-        """Membership test without mutating the basis."""
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ncols:
-            raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
-        for col, row in zip(self._pivot_cols, self._rows):
-            c = v[col]
-            if c:
-                for j in range(col, self.ncols):
-                    v[j] -= c * row[j]
-        return all(x == 0 for x in v)

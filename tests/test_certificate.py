@@ -232,14 +232,6 @@ class TestCertifiedLowerBound:
             rows = [certificate_vector(decode_vertex(spec, i), ctx) for i in range(spec.num_vertices)]
             assert matrix_rank(rows) == ctx.u_size
 
-    def test_parallel_verification(self):
-        cert = certified_lower_bound(SPEC_3232, "K", jobs=2)
-        assert cert.lower_bound == 8
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            certified_lower_bound(SPEC_3222, "K", jobs=0)
-
     def test_vector_lookup(self):
         cert = certified_lower_bound(SPEC_3222, "K")
         assert cert.vector_for((1, 1))[cert.context.u_index[(1, 1)]] == 2

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridperc
+from gridperc import cli
 from gridperc.cli import main
 from gridperc.percolation import format_hypergraph, weak_saturation_hypergraph
 
@@ -209,6 +215,23 @@ class TestWsat:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minperc", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--exhaustive"],
+        ["rneighbour", "--grid", "3,3", "--r", "2", "--exhaustive"],
+        ["wsat", "--n", "5", "--k", "3"],
+    ],
+)
+def test_exhaustive_search_without_result(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "min_percolating_exact", lambda *a, **k: None)
+    monkeypatch.setattr(cli, "min_r_neighbour_percolating", lambda *a, **k: None)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no percolating set found within bounds\n"
+
+
 class TestSweep:
     def test_header_and_shape(self, capsys):
         code = main(["sweep", "--max-n", "3", "--max-d", "2"])
@@ -244,3 +267,27 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["formula", "--d", "2", "--r", "1", "--n", "3", "--t", "2", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
+            ["audit", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
+            ["sweep", "--max-n", "2", "--max-d", "1"],
+        ],
+    )
+    def test_jobs_option_removed(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--jobs", "2"])
+        assert err.value.code == 2
+
+
+def test_import_loads_no_worker_machinery():
+    src = str(Path(gridperc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, gridperc.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperc.exact import (
     EliminationBasis,
@@ -51,6 +53,50 @@ def naive_det(rows):
     return total
 
 
+def random_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-5, 5)
+
+
+def random_matrix(rng, m, n):
+    """m x n int/Fraction matrix.  About a third are integer combinations of
+    fewer rows than min(m, n), so every shape gets rank-deficient cases."""
+    if rng.random() < 1 / 3:
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        base = [[random_entry(rng) for _ in range(n)] for _ in range(k)]
+        return [
+            [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n)] for _ in range(m)
+        ]
+    return [[random_entry(rng) for _ in range(n)] for _ in range(m)]
+
+
+def random_shapes(rng, count):
+    """Square, tall and wide shapes in turn."""
+    for i in range(count):
+        a, b = sorted((rng.randint(1, 6), rng.randint(1, 6)))
+        yield ((a, a), (b, a), (a, b))[i % 3]
+
+
+entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        # replace one row by a combination of the others
+        i = draw(st.integers(0, m - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        others = [(c, r) for k, (c, r) in enumerate(zip(coeffs, rows)) if k != i]
+        rows[i] = [sum(c * r[j] for c, r in others) for j in range(n)]
+    return rows
+
+
 class TestDeterminant:
     def test_small(self):
         assert det([[2]]) == 2
@@ -63,10 +109,19 @@ class TestDeterminant:
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(5150)
-        for _ in range(200):
+        for _ in range(300):
             n = rng.randint(1, 5)
-            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            rows = random_matrix(rng, n, n)
             assert det(rows) == naive_det(rows)
+
+    def test_integer_result_is_int(self):
+        value = det([[Fraction(1, 2), 0], [0, 4]])
+        assert value == 2 and type(value) is int
+
+    @settings(deadline=None)
+    @given(matrices(square=True))
+    def test_property_matches_cofactor_oracle(self, rows):
+        assert det(rows) == naive_det(rows)
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -85,11 +140,14 @@ class TestRank:
 
     def test_against_naive_oracle(self):
         rng = random.Random(90125)
-        for _ in range(300):
-            m = rng.randint(1, 6)
-            n = rng.randint(1, 6)
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        for m, n in random_shapes(rng, 300):
+            rows = random_matrix(rng, m, n)
             assert matrix_rank(rows) == naive_rank(rows)
+
+    @settings(deadline=None)
+    @given(matrices())
+    def test_property_matches_naive_oracle(self, rows):
+        assert matrix_rank(rows) == naive_rank(rows)
 
     def test_fraction_rows(self):
         rows = [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(2, 7)], [0, 1]]
@@ -211,10 +269,8 @@ class TestEliminationBasis:
 
     def test_matches_rank_on_random_matrices(self):
         rng = random.Random(314)
-        for _ in range(100):
-            m = rng.randint(1, 6)
-            n = rng.randint(1, 6)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        for m, n in random_shapes(rng, 150):
+            rows = random_matrix(rng, m, n)
             basis = EliminationBasis(n)
             for row in rows:
                 basis.insert(row)
@@ -237,3 +293,29 @@ class TestEliminationBasis:
         basis = EliminationBasis(2)
         with pytest.raises(ValueError):
             basis.insert([1, 2, 3])
+
+    def test_non_rational_entries_rejected(self):
+        with pytest.raises(TypeError):
+            EliminationBasis(2).insert([0.5, 1])
+        with pytest.raises(TypeError):
+            det([[0.5]])
+
+    @settings(deadline=None)
+    @given(matrices(), st.data())
+    def test_property_insert_tracks_prefix_rank(self, rows, data):
+        n = len(rows[0])
+        probes = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+        basis = EliminationBasis(n)
+        growing_only = EliminationBasis(n)  # never sees a non-growing insert
+        prefix_rank = 0
+        for i, row in enumerate(rows):
+            rank = naive_rank(rows[: i + 1])
+            grew = rank > prefix_rank
+            assert basis.contains(row) is not grew
+            assert basis.insert(row) is grew
+            if grew:
+                growing_only.insert(row)
+            assert basis.rank == growing_only.rank == rank
+            for probe in probes:
+                assert basis.contains(probe) == growing_only.contains(probe)
+            prefix_rank = rank
