@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Subcommands: formula, extremal, edges, closure, certify, audit, minperc,
-rneighbour, wsat, sweep.  Output is JSON by default; tabular commands also
-render CSV via --format csv.  Exit codes: 0 success / verified / percolated,
-1 negative result (non-percolation, invalid certificate, nothing found within
-bounds), 2 invalid input, 3 search budget exceeded.
+rneighbour, wsat, sweep.  Output is JSON; tabular commands also render CSV
+via --format csv.  Exit codes: 0 success / verified / percolated, 1 negative
+result (non-percolation, invalid certificate), 2 invalid input, 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -78,9 +78,10 @@ def _add_spec_args(p: argparse.ArgumentParser, with_family: bool = True) -> None
         p.add_argument("--family", choices=["K", "P"], default="K", help="edge family (default K)")
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats=("json",)) -> None:
+def _add_output_args(p: argparse.ArgumentParser, formats=()) -> None:
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=list(formats), default=formats[0])
+    if formats:
+        p.add_argument("--format", choices=list(formats), default=formats[0])
 
 
 def _write(args, text: str) -> None:
@@ -104,13 +105,8 @@ def _emit_csv(args, header, rows) -> None:
 
 
 def _found(result) -> dict:
-    """Output fields of an exhaustive search that found a percolating set."""
+    """Output fields of an exhaustive search result."""
     return {"minimum": result.minimum, "witness": list(result.witness), "tested": result.tested}
-
-
-def _not_found() -> int:
-    print("error: no percolating set found within bounds", file=sys.stderr)
-    return 1
 
 
 def _cmd_formula(args) -> int:
@@ -210,8 +206,8 @@ def _cmd_audit(args) -> int:
     else:
         vertices = extremal_set(spec)
     if args.remove:
-        drop = set(_int_list(args.remove))
-        vertices = [v for v in vertices if encode_vertex(spec, v) not in drop]
+        drop = {decode_vertex(spec, i) for i in _int_list(args.remove)}
+        vertices = [v for v in vertices if v not in drop]
     report = audit_percolating_set(cert, vertices, family=args.family)
     _emit_json(
         args,
@@ -233,13 +229,10 @@ def _cmd_minperc(args) -> int:
     spec = _parse_spec(args)
     h = grid_hypergraph(spec, args.family)
     if args.exhaustive:
-        result = min_percolating_exact(h, budget=args.budget)
-        if result is None:
-            return _not_found()
         payload = {
             "family": args.family,
             "mode": "exhaustive",
-            **_found(result),
+            **_found(min_percolating_exact(h, budget=args.budget)),
         }
     else:
         cert = certified_lower_bound(spec, args.family)
@@ -276,14 +269,11 @@ def _cmd_rneighbour(args) -> int:
         g = hypercube_graph(args.hypercube)
         desc = {"kind": "hypercube", "d": args.hypercube}
     if args.exhaustive:
-        result = min_r_neighbour_percolating(g, args.r, budget=args.budget)
-        if result is None:
-            return _not_found()
         payload = {
             "graph": desc,
             "r": args.r,
             "mode": "exhaustive",
-            **_found(result),
+            **_found(min_r_neighbour_percolating(g, args.r, budget=args.budget)),
         }
     else:
         witness = greedy_r_neighbour_upper_bound(g, args.r, trials=args.trials, seed=args.seed)
@@ -306,8 +296,6 @@ def _cmd_rneighbour(args) -> int:
 def _cmd_wsat(args) -> int:
     h = weak_saturation_hypergraph(args.n, args.k)
     result = min_percolating_exact(h, budget=args.budget)
-    if result is None:
-        return _not_found()
     _emit_json(
         args,
         {
@@ -352,11 +340,9 @@ def _cmd_sweep(args) -> int:
                 nv = spec.num_vertices
                 predicted = sum(math.comb(nv, k) for k in range(formula + 1))
                 if predicted <= args.brute_tests:
-                    found = min_percolating_exact(
+                    brute = min_percolating_exact(
                         grid_hypergraph(spec, family), budget=args.brute_tests
-                    )
-                    if found is not None:
-                        brute = found.minimum
+                    ).minimum
             runtime_ms = int((time.perf_counter() - started) * 1000)
             rows.append(
                 [spec.d, spec.r, spec.dims[0], spec.thick[0], family, formula,

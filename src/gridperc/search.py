@@ -34,15 +34,16 @@ class SearchResult:
     tested: int
 
 
-def _min_subset_search(num_vertices, percolates_fn, mandatory, lower_hint, upper_hint, budget):
-    # Ascending k, lexicographic subsets of the non-mandatory vertices; the
-    # first hit is minimal provided lower_hint is a valid lower bound.
-    mandatory = sorted(mandatory)
-    free = [v for v in range(num_vertices) if v not in set(mandatory)]
+def _min_subset_search(num_vertices, percolates_fn, mandatory, budget):
+    # Ascending k, lexicographic subsets of the non-mandatory vertices, so the
+    # first hit is minimal.  The full vertex set always percolates, so the
+    # scan returns by k = num_vertices at the latest.
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    forced = set(mandatory)
+    free = [v for v in range(num_vertices) if v not in forced]
     tested = 0
-    for k in range(lower_hint, upper_hint + 1):
-        if k < len(mandatory):
-            continue
+    for k in range(len(mandatory), num_vertices + 1):
         for combo in itertools.combinations(free, k - len(mandatory)):
             if tested >= budget:
                 raise SearchBudgetExceeded(tested, budget)
@@ -50,37 +51,20 @@ def _min_subset_search(num_vertices, percolates_fn, mandatory, lower_hint, upper
             candidate = mandatory + list(combo)
             if percolates_fn(candidate):
                 return SearchResult(k, tuple(sorted(candidate)), tested)
-    return None
+    raise AssertionError("the full vertex set failed to percolate")
 
 
-def min_percolating_exact(
-    h: Hypergraph,
-    lower_hint: int = 0,
-    upper_hint: int | None = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    preprocess: bool = True,
-) -> SearchResult | None:
+def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Smallest percolating set, by exhaustive ascending subset enumeration.
 
-    The answer is the true minimum whenever ``lower_hint`` is a valid lower
-    bound (0 always is).  ``preprocess`` forces vertices that lie in no edge
-    into every candidate, since nothing can ever infect them.  Returns None
-    when no set of size <= upper_hint percolates; raises SearchBudgetExceeded
-    after ``budget`` candidate sets.
+    Vertices that lie in no edge can never be infected, so they are forced
+    into every candidate.  Always returns the exact minimum (the full vertex
+    set percolates); raises SearchBudgetExceeded after ``budget`` candidate
+    sets and ValueError for a negative ``budget``.
     """
-    nv = h.num_vertices
-    if upper_hint is None:
-        upper_hint = nv
-    if not 0 <= lower_hint <= upper_hint <= nv:
-        raise ValueError(f"need 0 <= lower_hint <= upper_hint <= {nv}")
-    mandatory = []
-    if preprocess:
-        covered = set(itertools.chain.from_iterable(h.edges))
-        mandatory = [v for v in range(nv) if v not in covered]
-    return _min_subset_search(
-        nv, lambda cand: percolates(h, cand), mandatory, lower_hint, upper_hint, budget
-    )
+    covered = set(itertools.chain.from_iterable(h.edges))
+    mandatory = [v for v in range(h.num_vertices) if v not in covered]
+    return _min_subset_search(h.num_vertices, lambda cand: percolates(h, cand), mandatory, budget)
 
 
 def _greedy_deletion(num_vertices, percolates_fn, trials, seed):
@@ -197,35 +181,18 @@ def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
     return frozenset(i for i, flag in enumerate(infected) if flag)
 
 
-def min_r_neighbour_percolating(
-    g: Graph,
-    r: int,
-    lower_hint: int = 0,
-    upper_hint: int | None = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    preprocess: bool = True,
-) -> SearchResult | None:
+def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exhaustive minimum percolating set for the r-neighbour process.
 
-    Same enumeration scheme as min_percolating_exact; preprocessing forces
-    vertices of degree < r into every candidate (they can never be infected).
+    Same enumeration scheme and errors as min_percolating_exact; vertices of
+    degree < r can never be infected, so they are forced into every candidate.
     """
-    nv = g.num_vertices
-    if upper_hint is None:
-        upper_hint = nv
-    if not 0 <= lower_hint <= upper_hint <= nv:
-        raise ValueError(f"need 0 <= lower_hint <= upper_hint <= {nv}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    mandatory = [v for v in range(nv) if len(g.adj[v]) < r] if preprocess else []
+    nv = g.num_vertices
+    mandatory = [v for v in range(nv) if len(g.adj[v]) < r]
     return _min_subset_search(
-        nv,
-        lambda cand: len(r_neighbour_closure(g, cand, r)) == nv,
-        mandatory,
-        lower_hint,
-        upper_hint,
-        budget,
+        nv, lambda cand: len(r_neighbour_closure(g, cand, r)) == nv, mandatory, budget
     )
 
 

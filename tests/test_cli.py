@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import gridperc
-from gridperc import cli
 from gridperc.cli import main
 from gridperc.percolation import format_hypergraph, weak_saturation_hypergraph
 
@@ -144,6 +143,12 @@ class TestAudit:
         assert code == 1
         assert data["percolated"] is False
 
+    def test_removed_id_out_of_range(self, capsys):
+        assert main(["audit", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--remove", "99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside" in captured.err
+
     def test_explicit_infected(self, capsys):
         code, data = run_json(
             capsys,
@@ -163,6 +168,7 @@ class TestMinperc:
         assert data["minimum"] == 5
         assert data["mode"] == "exhaustive"
         assert data["witness"] == [0, 1, 2, 3, 6]
+        assert data["tested"] == 259
 
     def test_certified_default(self, capsys):
         code, data = run_json(capsys, ["minperc", "--d", "2", "--r", "2", "--n", "3", "--t", "2"])
@@ -190,6 +196,13 @@ class TestRneighbour:
         code, data = run_json(capsys, ["rneighbour", "--grid", "3,3", "--r", "2", "--exhaustive"])
         assert code == 0
         assert data["minimum"] == 3
+        assert data["tested"] == 57
+
+    def test_exhaustive_hypercube(self, capsys):
+        code, data = run_json(capsys, ["rneighbour", "--hypercube", "4", "--r", "3", "--exhaustive"])
+        assert code == 0
+        assert data["minimum"] == 6
+        assert data["tested"] == 8873
 
     def test_greedy_default(self, capsys):
         code, data = run_json(capsys, ["rneighbour", "--hypercube", "3", "--r", "3"])
@@ -209,6 +222,7 @@ class TestWsat:
         assert code == 0
         assert data["minimum"] == 4
         assert data["numVertices"] == 10
+        assert data["tested"] == 177
 
     def test_invalid(self, capsys):
         assert main(["wsat", "--n", "3", "--k", "4"]) == 2
@@ -223,13 +237,11 @@ class TestWsat:
         ["wsat", "--n", "5", "--k", "3"],
     ],
 )
-def test_exhaustive_search_without_result(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "min_percolating_exact", lambda *a, **k: None)
-    monkeypatch.setattr(cli, "min_r_neighbour_percolating", lambda *a, **k: None)
-    assert main(argv) == 1
+def test_negative_budget_is_invalid_input(capsys, argv):
+    assert main(argv + ["--budget", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: no percolating set found within bounds\n"
+    assert captured.err == "error: budget must be >= 0, got -1\n"
 
 
 class TestSweep:
@@ -280,6 +292,38 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(argv + ["--jobs", "2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--input", "h.hg", "--infected", "0"],
+            ["certify", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
+            ["audit", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
+            ["rneighbour", "--grid", "3,3", "--r", "2"],
+            ["wsat", "--n", "4", "--k", "3"],
+        ],
+    )
+    def test_format_only_on_tabular_commands(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--format", "json"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (["formula", "--d", "2", "--r", "2", "--n", "3", "--t", "2"], "extremalSize"),
+            (["extremal", "--d", "2", "--r", "2", "--n", "3", "--t", "2"], "x1,x2"),
+            (["edges", "--d", "2", "--r", "2", "--n", "3", "--t", "2"], "count"),
+            (["minperc", "--d", "2", "--r", "2", "--n", "3", "--t", "2"], "family,mode,minimum,witness,tested"),
+            (
+                ["sweep", "--max-n", "2", "--max-d", "1"],
+                "d,r,n,t,family,formula,lower_bound,brute_force,edges,u_size,runtime_ms",
+            ),
+        ],
+    )
+    def test_csv_on_tabular_commands(self, capsys, argv, header):
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header
 
 
 def test_import_loads_no_worker_machinery():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperc.grid import (
     GridEdge,
@@ -59,6 +61,15 @@ SMALL_SPECS = [
     GridSpec((3, 4), (2, 3), 2),
     GridSpec((2, 3, 4), (2, 2, 3), 2),
 ]
+
+
+@st.composite
+def grid_specs(draw):
+    """Valid specs with d <= 3 and axis lengths <= 4 (at most 64 cells)."""
+    d = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    thick = [draw(st.integers(2, n)) for n in dims]
+    return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, d)))
 
 
 class TestGridSpec:
@@ -149,6 +160,15 @@ class TestEdges:
         k_sets = {frozenset(e.vertices()) for e in enumerate_edges(spec, "K")}
         for e in enumerate_edges(spec, "P"):
             assert frozenset(e.vertices()) in k_sets
+
+    @settings(deadline=None)
+    @given(grid_specs())
+    def test_property_count_and_subfamily(self, spec):
+        k_edges = [frozenset(e.vertices()) for e in enumerate_edges(spec, "K")]
+        p_edges = [frozenset(e.vertices()) for e in enumerate_edges(spec, "P")]
+        assert count_edges(spec, "K") == len(k_edges)
+        assert count_edges(spec, "P") == len(p_edges)
+        assert set(p_edges) <= set(k_edges)
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_edge_expansion_size(self, spec):

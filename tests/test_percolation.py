@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperc.grid import GridSpec, encode_vertex, extremal_set
 from gridperc.percolation import (
@@ -36,6 +38,13 @@ def random_hypergraph(rng, max_vertices=10, max_edges=12):
         size = rng.randint(1, min(4, nv))
         edges.append(rng.sample(range(nv), size))
     return Hypergraph(nv, edges)
+
+
+@st.composite
+def hypergraphs(draw, max_vertices=10, max_edges=12):
+    nv = draw(st.integers(1, max_vertices))
+    edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
+    return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
 
 
 class TestHypergraph:
@@ -129,6 +138,23 @@ class TestClosure:
             assert res.final == expected
             replay_trace(shuffled, res)
 
+    @settings(deadline=None)
+    @given(hypergraphs(), st.data())
+    def test_property_initial_order_invariant(self, h, data):
+        initial = data.draw(st.lists(st.integers(0, h.num_vertices - 1), unique=True))
+        shuffled = data.draw(st.permutations(initial))
+        assert closure(h, shuffled).final == closure(h, initial).final
+
+    @settings(deadline=None)
+    @given(hypergraphs(), st.data())
+    def test_property_monotone_and_idempotent(self, h, data):
+        vertex_sets = st.frozensets(st.integers(0, h.num_vertices - 1))
+        a = data.draw(vertex_sets)
+        b = a | data.draw(vertex_sets)
+        final_a = closure(h, a).final
+        assert final_a <= closure(h, b).final
+        assert closure(h, final_a).final == final_a
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_four_cycle_process_on_square_grids(self, n):
         # 2x2-square infection on [n]^2: the extremal set fills the grid
@@ -177,6 +203,13 @@ class TestTextFormat:
             parse_hypergraph("p 3 1\n0 x\n")
         with pytest.raises(ValueError):
             parse_hypergraph("p 3 1\n0 7\n")
+
+    @settings(deadline=None)
+    @given(hypergraphs())
+    def test_property_roundtrip(self, h):
+        back = parse_hypergraph(format_hypergraph(h))
+        assert back.num_vertices == h.num_vertices
+        assert back.edges == h.edges
 
     def test_blank_lines_ignored(self):
         back = parse_hypergraph("p 3 1\n\n0 1 2\n\n")

@@ -1,7 +1,10 @@
+import itertools
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperc.grid import GridSpec, extremal_size
 from gridperc.percolation import Hypergraph, grid_hypergraph, percolates
@@ -36,6 +39,23 @@ def random_hypergraph(rng, max_vertices=9, max_edges=10):
     return Hypergraph(nv, edges)
 
 
+@st.composite
+def hypergraphs(draw, max_vertices=7, max_edges=8):
+    nv = draw(st.integers(1, max_vertices))
+    edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
+    return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
+
+
+def naive_minimum(h):
+    """Smallest k such that some k-subset percolates, by a plain scan of
+    every subset (no forced vertices, no early structure)."""
+    return next(
+        k
+        for k in range(h.num_vertices + 1)
+        if any(percolates(h, c) for c in itertools.combinations(range(h.num_vertices), k))
+    )
+
+
 class TestMinPercolatingExact:
     def test_small_square_both_families(self):
         spec = GridSpec.cube(3, 2, 2, 2)
@@ -61,8 +81,6 @@ class TestMinPercolatingExact:
         res = min_percolating_exact(h)
         assert res.minimum == 3
         assert set(res.witness) >= {2, 3}
-        # identical answer without preprocessing (slower path)
-        assert min_percolating_exact(h, preprocess=False).minimum == 3
 
     def test_empty_hypergraph(self):
         res = min_percolating_exact(Hypergraph(3, []))
@@ -73,24 +91,16 @@ class TestMinPercolatingExact:
         spec = GridSpec.cube(3, 2, 2, 2)
         with pytest.raises(SearchBudgetExceeded):
             min_percolating_exact(grid_hypergraph(spec, "K"), budget=10)
-
-    def test_upper_hint_can_fail(self):
-        h = Hypergraph(3, [[0, 1, 2]])
-        assert min_percolating_exact(h, upper_hint=1) is None
-
-    def test_hint_validation(self):
-        h = Hypergraph(3, [])
         with pytest.raises(ValueError):
-            min_percolating_exact(h, lower_hint=2, upper_hint=1)
-        with pytest.raises(ValueError):
-            min_percolating_exact(h, lower_hint=-1)
+            min_percolating_exact(grid_hypergraph(spec, "K"), budget=-1)
 
-    def test_lower_hint_skips_levels(self):
-        spec = GridSpec.cube(3, 2, 2, 2)
-        h = grid_hypergraph(spec, "K")
-        res = min_percolating_exact(h, lower_hint=5)
-        assert res.minimum == 5
-        assert res.tested < 126  # no size-4 level scanned
+    @settings(deadline=None)
+    @given(hypergraphs())
+    def test_property_minimum_matches_naive_scan(self, h):
+        res = min_percolating_exact(h)
+        assert len(res.witness) == res.minimum
+        assert percolates(h, res.witness)
+        assert res.minimum == naive_minimum(h)
 
 
 class TestGreedyUpperBound:
@@ -215,6 +225,8 @@ class TestMinRNeighbour:
     def test_budget(self):
         with pytest.raises(SearchBudgetExceeded):
             min_r_neighbour_percolating(hypercube_graph(4), 3, budget=5)
+        with pytest.raises(ValueError):
+            min_r_neighbour_percolating(hypercube_graph(4), 3, budget=-1)
 
     def test_greedy_upper_bound(self):
         g = hypercube_graph(3)
