@@ -6,11 +6,11 @@ Library layout:
   "K"/"P" families, and the extremal set with its closed-form size,
 * ``percolation`` -- generic hypergraph bootstrap closure with traces, plus
   hypergraph builders and the text format,
-* ``exact`` -- exact linear algebra: general-position matrices, dependency
-  coefficients, and one fraction-free integer elimination kernel behind
+* ``exact`` -- integer-only linear algebra: general-position matrices,
+  dependency coefficients, and one fraction-free elimination kernel behind
   ``det``, ``matrix_rank`` and the incremental ``EliminationBasis``,
-* ``certificate`` -- construction, verification and auditing of the exact
-  lower-bound certificate,
+* ``certificate`` -- construction, verification (span from the triangular
+  extremal rows) and auditing of the exact lower-bound certificate,
 * ``search`` -- independent brute-force oracles and the r-neighbour process,
 * ``cli`` -- the ``gridperc`` command-line driver.
 """

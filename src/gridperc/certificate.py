@@ -5,7 +5,8 @@ extremal set's basis positions, built by pushing d-r+1 coordinates at a time
 down to small values and weighting each image by entries of fixed per-axis
 general-position matrices.  Verified properties:
 
-* span: the vectors of all vertices have full rank (the extremal-set size),
+* span: the vectors have full rank (the extremal-set size), because the
+  extremal vertices' own vectors form a triangular block (certified_lower_bound),
 * dependency: for every edge, the vectors of its vertices satisfy a linear
   dependency whose coefficients (products of per-axis cofactor coefficients)
   are all nonzero -- checked per projected-axis set, which is finer than the
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import (
     EliminationBasis,
     build_general_position_matrix,
     dependency_coeffs,
-    matrix_rank,
     verify_general_position,
 )
 from .grid import (
@@ -205,14 +206,21 @@ def _edge_dependency_failure(edge: GridEdge, ctx, lam_cache, comp_cache) -> str 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verified certificate: context, per-vertex vectors (row-major by vertex
-    id), verification flags and the resulting lower bound."""
+    """Verified certificate: context, verification flags and lower bound;
+    ``f_vectors`` (row-major by vertex id) is built on first use."""
 
     context: CertificateContext
-    f_vectors: tuple[tuple[int, ...], ...]
     verified_span: bool
     verified_dependencies: bool
     lower_bound: int
+
+    @cached_property
+    def f_vectors(self) -> tuple[tuple[int, ...], ...]:
+        spec = self.context.spec
+        return tuple(
+            tuple(certificate_vector(decode_vertex(spec, i), self.context))
+            for i in range(spec.num_vertices)
+        )
 
     def vector_for(self, v: Vertex) -> tuple[int, ...]:
         return self.f_vectors[encode_vertex(self.context.spec, v)]
@@ -221,19 +229,22 @@ class Certificate:
 def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     """Build the certificate and verify it exactly.
 
-    Dependency sums are always checked over the "K" edge set, which contains
-    the "P" edge set, so one verification covers both families.  Any nonzero
-    dependency residual or rank deficit raises CertificateError; on success
-    the lower bound equals the extremal-set size.
+    Span: each extremal vertex u has a positive entry at u and its other
+    nonzero entries at extremal vertices of smaller coordinate sum, since
+    every image of u lies at or below u (small coordinates stay, large ones
+    drop to at most t_k - 1) and is u itself for the C(#small(u), d-r+1) >= 1
+    axis sets inside small(u), all weights being nonnegative.  The |U| x |U|
+    block is thus triangular with a positive diagonal, of rank |U|.
+    Dependency sums are checked over the "K" edges, which contain the "P"
+    edges, so one verification covers both families.  Any failure raises
+    CertificateError; on success the lower bound equals the extremal-set size.
     """
     ctx = build_context(spec, family)
-    f_vectors = tuple(
-        tuple(certificate_vector(decode_vertex(spec, i), ctx)) for i in range(spec.num_vertices)
-    )
-
-    rank = matrix_rank(f_vectors)
-    if rank != ctx.u_size:
-        raise CertificateError(f"span deficit: rank {rank} != extremal size {ctx.u_size}")
+    sums = [sum(u) for u in ctx.u_vertices]
+    for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
+        vec = certificate_vector(u, ctx)
+        if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
+            raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
     lam_cache: dict = {}
     comp_cache: dict = {}
@@ -244,7 +255,6 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
 
     return Certificate(
         context=ctx,
-        f_vectors=f_vectors,
         verified_span=True,
         verified_dependencies=True,
         lower_bound=ctx.u_size,

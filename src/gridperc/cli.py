@@ -324,6 +324,8 @@ def _sweep_specs(args):
 
 def _cmd_sweep(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families or len(set(families)) != len(families):
+        raise ValueError(f"--families needs distinct families, got {args.families!r}")
     for f in families:
         if f not in ("K", "P"):
             raise ValueError(f"unknown family {f!r} in --families")

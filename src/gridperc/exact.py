@@ -1,20 +1,17 @@
-"""Exact linear algebra for the lower-bound certificates.
+"""Exact integer linear algebra for the lower-bound certificates.
 
-Matrices are sequences of equal-length rows holding int or Fraction entries;
-nothing is ever rounded.  Every elimination runs through one fraction-free
-integer kernel, EliminationBasis: an incremental Bareiss echelon.  A row with
-Fraction entries is multiplied by the lcm of its denominators on entry, which
-leaves its span unchanged; from then on every intermediate value is a minor of
-the integer rows, so all divisions are exact integer divisions and growth is
-bounded by the minors themselves.  matrix_rank and det insert their rows into
-a basis and read the rank and the last pivot off it.
+Matrices are sequences of equal-length rows of int entries; any other entry
+type raises TypeError, and nothing is ever rounded.  Every elimination runs
+through one fraction-free integer kernel, EliminationBasis: an incremental
+Bareiss echelon in which every intermediate value is a minor of the input
+rows, so all divisions are exact integer divisions and growth is bounded by
+the minors themselves.  matrix_rank and det insert their rows into a basis and
+read the rank and the last pivot off it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 
 class GeneralPositionError(ValueError):
@@ -31,27 +28,18 @@ def _as_rows(matrix) -> list[list]:
     return rows
 
 
-def _clear_denominators(row) -> tuple[list[int], int]:
-    """Integer multiple of the row and the positive scale used."""
-    try:
-        scale = math.lcm(*(x.denominator for x in row))
-    except AttributeError:
-        raise TypeError(f"entries must be int or Fraction, got {row!r}") from None
-    return [x.numerator * (scale // x.denominator) for x in row], scale
-
-
 class EliminationBasis:
-    """Incrementally maintained row space of int/Fraction vectors.
+    """Incrementally maintained row space of integer vectors.
 
     Stored rows form a fraction-free (Bareiss 1968) echelon in insertion
     order: row k has pivot column c_k and pivot p_k = row_k[c_k], and is zero
-    in the pivot columns of the rows before it.  A vector v, with its
-    denominators cleared, is reduced against each row k in turn by
-    v <- (p_k*v - v[c_k]*row_k) // p_{k-1}, with p_{-1} = 1.  By Sylvester's
-    identity every entry is then a minor of the integer rows, so each
-    division is exact.  insert() keeps a nonzero remainder as a new row
-    pivoted at its first nonzero entry and reports whether the span grew;
-    inserting a vector already in the span leaves the state unchanged.
+    in the pivot columns of the rows before it.  A vector v is reduced against
+    each row k in turn by v <- (p_k*v - v[c_k]*row_k) // p_{k-1}, with
+    p_{-1} = 1.  By Sylvester's identity every entry is then a minor of the
+    inserted rows, so each division is exact; at full rank every remainder is
+    zero.  insert() keeps a nonzero remainder as a new row pivoted at its
+    first nonzero entry and reports whether the span grew; inserting a vector
+    already in the span leaves the state unchanged.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -66,9 +54,13 @@ class EliminationBasis:
         return len(self._rows)
 
     def _reduce(self, vector) -> list[int]:
-        v = _clear_denominators(vector)[0]
+        v = list(vector)
+        if not all(isinstance(x, int) for x in v):
+            raise TypeError(f"entries must be int, got {vector!r}")
         if len(v) != self.ncols:
             raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
+        if self.rank == self.ncols:
+            return [0] * self.ncols
         prev = 1
         for col, row in zip(self._pivot_cols, self._rows):
             pivot, c = row[col], v[col]
@@ -95,37 +87,27 @@ def _permutation_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def det(matrix):
-    """Exact determinant of a square int/Fraction matrix.
+def det(matrix) -> int:
+    """Exact determinant of a square integer matrix.
 
-    Returns an int when the determinant is an integer, otherwise a Fraction.
-    The last pivot of the echelon is the determinant of the cleared rows with
-    their columns in pivot order.
+    The last pivot of the echelon is the determinant of the rows with their
+    columns in pivot order.
     """
     rows = _as_rows(matrix)
     if len(rows) != len(rows[0]):
         raise ValueError(f"determinant needs a square matrix, got {len(rows)}x{len(rows[0])}")
-    cleared = [_clear_denominators(row) for row in rows]
     basis = EliminationBasis(len(rows))
-    if not all(basis.insert(ints) for ints, _scale in cleared):
+    if not all([basis.insert(row) for row in rows]):  # every row is type-checked
         return 0
     cols = basis._pivot_cols
-    value = _permutation_sign(cols) * basis._rows[-1][cols[-1]]
-    denom = math.prod(scale for _ints, scale in cleared)
-    if denom == 1:
-        return value
-    result = Fraction(value, denom)
-    return int(result) if result.denominator == 1 else result
+    return _permutation_sign(cols) * basis._rows[-1][cols[-1]]
 
 
 def matrix_rank(matrix) -> int:
-    """Exact rank: the rows are inserted into one EliminationBasis, stopping
-    once the rank reaches the column count."""
+    """Exact rank: the rows are inserted into one EliminationBasis."""
     rows = _as_rows(matrix)
     basis = EliminationBasis(len(rows[0]))
     for row in rows:
-        if basis.rank == basis.ncols:
-            break
         basis.insert(row)
     return basis.rank
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 Vertex = tuple[int, ...]
@@ -44,10 +45,12 @@ class GridSpec:
     r: int
 
     def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
-        thick = tuple(int(t) for t in self.thick)
+        dims = tuple(map(operator.index, self.dims))
+        thick = tuple(map(operator.index, self.thick))
+        r = operator.index(self.r)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "thick", thick)
+        object.__setattr__(self, "r", r)
         if not dims:
             raise ValueError("need at least one axis")
         if len(thick) != len(dims):
@@ -57,8 +60,8 @@ class GridSpec:
                 raise ValueError(f"axis length {n} < 2")
             if not 2 <= t <= n:
                 raise ValueError(f"thickness {t} outside [2, {n}]")
-        if not 1 <= self.r <= len(dims):
-            raise ValueError(f"copy rank {self.r} outside [1, {len(dims)}]")
+        if not 1 <= r <= len(dims):
+            raise ValueError(f"copy rank {r} outside [1, {len(dims)}]")
 
     @classmethod
     def cube(cls, n: int, d: int, t: int, r: int) -> "GridSpec":
@@ -125,9 +128,9 @@ class GridEdge:
     fixed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        varying = tuple(int(k) for k in self.varying)
-        values = tuple(tuple(int(x) for x in vals) for vals in self.values)
-        fixed = tuple(int(x) for x in self.fixed)
+        varying = tuple(map(operator.index, self.varying))
+        values = tuple(tuple(map(operator.index, vals)) for vals in self.values)
+        fixed = tuple(map(operator.index, self.fixed))
         object.__setattr__(self, "varying", varying)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "fixed", fixed)

@@ -9,6 +9,7 @@ only the recorded trace.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -74,7 +75,7 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
     infected = bytearray(h.num_vertices)
     init = []
     for v in initial:
-        v = int(v)
+        v = operator.index(v)
         if not 0 <= v < h.num_vertices:
             raise ValueError(f"vertex {v} outside [0, {h.num_vertices})")
         if not infected[v]:

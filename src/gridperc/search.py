@@ -9,6 +9,7 @@ approximate answer.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -163,7 +164,7 @@ def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
     infected = bytearray(g.num_vertices)
     queue: deque[int] = deque()
     for v in initial:
-        v = int(v)
+        v = operator.index(v)
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"vertex {v} outside [0, {g.num_vertices})")
         if not infected[v]:

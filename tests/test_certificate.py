@@ -3,8 +3,12 @@ import json
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridperc import certificate
 from gridperc.certificate import (
+    CertificateError,
     audit_percolating_set,
     build_context,
     certificate_to_dict,
@@ -28,6 +32,15 @@ from gridperc.grid import (
 SPEC_3222 = GridSpec.cube(3, 2, 2, 2)
 SPEC_3232 = GridSpec.cube(3, 2, 3, 2)
 SPEC_INHOM = GridSpec((3, 4), (2, 3), 2)
+
+
+@st.composite
+def small_specs(draw):
+    """Specs with d <= 3, axis lengths <= 4, mixed thicknesses and any r."""
+    d = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    thick = [draw(st.integers(2, n)) for n in dims]
+    return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, d)))
 
 
 def basis_vector(ctx, v, scale=1):
@@ -235,6 +248,41 @@ class TestCertifiedLowerBound:
     def test_vector_lookup(self):
         cert = certified_lower_bound(SPEC_3222, "K")
         assert cert.vector_for((1, 1))[cert.context.u_index[(1, 1)]] == 2
+
+    @settings(deadline=None)
+    @given(small_specs())
+    def test_property_triangular_check_agrees_with_rank(self, spec):
+        cert = certified_lower_bound(spec, "K")
+        assert cert.verified_span
+        assert matrix_rank(cert.f_vectors) == cert.context.u_size == cert.lower_bound
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [((1, 1), (1, 2)), ((1, 2), (2, 1)), ((1, 1), None)],
+        ids=["larger_sum", "equal_sum", "zero_diagonal"],
+    )
+    def test_non_triangular_row_is_rejected(self, monkeypatch, row, column):
+        original = certificate.certificate_vector
+
+        def damaged(v, ctx):
+            vec = original(v, ctx)
+            if v == row:
+                if column is None:
+                    vec[ctx.u_index[row]] = 0
+                else:
+                    vec[ctx.u_index[column]] += 1
+            return vec
+
+        monkeypatch.setattr(certificate, "certificate_vector", damaged)
+        with pytest.raises(CertificateError, match="span deficit"):
+            certified_lower_bound(SPEC_3222, "K")
+
+    def test_vectors_built_on_first_use(self):
+        cert = certified_lower_bound(SPEC_INHOM, "K")
+        assert "f_vectors" not in cert.__dict__
+        rows = [tuple(certificate_vector(v, cert.context)) for v in vertices(SPEC_INHOM)]
+        assert list(cert.f_vectors) == rows
+        assert cert.__dict__["f_vectors"] is cert.f_vectors
 
 
 class TestAudit:

@@ -268,6 +268,17 @@ class TestSweep:
         assert code == 0
         assert all(row["formula"] == row["lower_bound"] for row in data)
 
+    @pytest.mark.parametrize("families", ["", " , ", "K,K", "K,P,K"])
+    def test_families_empty_or_repeated(self, capsys, families):
+        assert main(["sweep", "--max-n", "2", "--max-d", "1", "--families", families]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --families needs distinct families, got {families!r}\n"
+
+    def test_families_unknown(self, capsys):
+        assert main(["sweep", "--max-n", "2", "--max-d", "1", "--families", "K,Q"]) == 2
+        assert capsys.readouterr().err == "error: unknown family 'Q' in --families\n"
+
 
 class TestParser:
     def test_unknown_command(self):
@@ -331,7 +342,8 @@ def test_import_loads_no_worker_machinery():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, gridperc.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'fractions') "
+        "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

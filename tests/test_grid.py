@@ -89,6 +89,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((3, 3), (2,), 1)
 
+    def test_non_integer_values_rejected(self):
+        with pytest.raises(TypeError):
+            GridSpec((3.7, 3), (2, 2), 2)
+        with pytest.raises(TypeError):
+            GridSpec((3, 3), (2, 2.9), 2)
+        with pytest.raises(TypeError):
+            GridSpec((3, 3), (2, 2), 1.5)
+        with pytest.raises(TypeError):
+            GridSpec((3, 3), (2, 2), 2.0)
+        with pytest.raises(TypeError):
+            GridSpec(("3", 3), (2, 2), 2)
+
     def test_homogeneous(self):
         assert GridSpec.cube(3, 2, 2, 2).homogeneous()
         assert not GridSpec((3, 4), (2, 2), 1).homogeneous()
@@ -210,6 +222,14 @@ class TestGridEdge:
             GridEdge((1,), ((2, 2),), (1,))
         with pytest.raises(ValueError):
             GridEdge((1,), ((1, 2), (1, 2)), ())
+
+    def test_non_integer_values_rejected(self):
+        with pytest.raises(TypeError):
+            GridEdge((1.0,), ((1, 2),), (1,))
+        with pytest.raises(TypeError):
+            GridEdge((1,), ((1, 2.5),), (1,))
+        with pytest.raises(TypeError):
+            GridEdge((1,), ((1, 2),), (1.9,))
 
 
 class TestExtremal:

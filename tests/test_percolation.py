@@ -91,6 +91,13 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure(h, [3])
 
+    def test_non_integer_ids_rejected(self):
+        h = Hypergraph(3, [[0, 1, 2]])
+        with pytest.raises(TypeError):
+            closure(h, [0.9, 1.2])
+        with pytest.raises(TypeError):
+            closure(h, ["0"])
+
     def test_size_one_edges_fire_unconditionally(self):
         h = Hypergraph(3, [[1], [0, 2]])
         res = closure(h, [])

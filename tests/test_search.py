@@ -197,6 +197,8 @@ class TestRNeighbourClosure:
             r_neighbour_closure(g, [0], 0)
         with pytest.raises(ValueError):
             r_neighbour_closure(g, [9], 1)
+        with pytest.raises(TypeError):
+            r_neighbour_closure(g, [0.9, 1.2], 1)
 
 
 class TestMinRNeighbour:
