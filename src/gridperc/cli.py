@@ -329,6 +329,8 @@ def _cmd_sweep(args) -> int:
     for f in families:
         if f not in ("K", "P"):
             raise ValueError(f"unknown family {f!r} in --families")
+    if args.brute_tests < 0:
+        raise ValueError(f"--brute-tests must be >= 0, got {args.brute_tests}")
     rows = []
     for spec in _sweep_specs(args):
         cert = certified_lower_bound(spec, "K")

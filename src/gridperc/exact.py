@@ -12,6 +12,7 @@ read the rank and the last pivot off it.
 from __future__ import annotations
 
 import itertools
+import operator
 
 
 class GeneralPositionError(ValueError):
@@ -153,7 +154,7 @@ def dependency_coeffs(matrix, row_indices) -> tuple:
     the (scale-invariant) dependency.
     """
     rows = _as_rows(matrix)
-    idx = tuple(int(i) for i in row_indices)
+    idx = tuple(operator.index(i) for i in row_indices)
     if list(idx) != sorted(set(idx)):
         raise ValueError("row indices must be strictly increasing")
     if idx and (idx[0] < 1 or idx[-1] > len(rows)):

@@ -4,17 +4,34 @@ Exhaustive minimum percolating sets by ascending subset enumeration,
 randomized greedy upper bounds, and r-neighbour bootstrap percolation on
 graphs.  Exceeding the search budget raises, it never degrades to an
 approximate answer.
+
+The searches and the greedy bounds run on int bitmasks of infected
+vertices.  Each process gives one ``spread(state, v)``: from a closed state,
+infect v and follow only the vertices that become infected, so it returns
+the closure of state plus v.  Since closure(S + x) = closure(closure(S) + x),
+the exhaustive search walks the same ascending, lexicographic candidate sets
+as a plain scan, but as a depth-first prefix stack: each prefix's closure is
+computed once and shared by all its extensions.  A candidate whose next
+vertex already lies in the prefix's closure, or in the closure of an earlier
+candidate it is dominated by, cannot percolate; it is counted without any
+closure work, and a whole subtree of such candidates is counted at once.
+So ``tested``, the budget exit and the witness are exactly those of the
+plain scan.  ``closure`` and ``r_neighbour_closure`` remain the slower
+oracles; each search or greedy bound calls one of them once, for the
+closure of the forced vertices (of the empty set for the greedy bounds).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from .percolation import Hypergraph, percolates
+from .percolation import Hypergraph, closure
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -35,23 +52,94 @@ class SearchResult:
     tested: int
 
 
-def _min_subset_search(num_vertices, percolates_fn, mandatory, budget):
-    # Ascending k, lexicographic subsets of the non-mandatory vertices, so the
-    # first hit is minimal.  The full vertex set always percolates, so the
-    # scan returns by k = num_vertices at the latest.
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _edge_spread(h: Hypergraph):
+    """spread(state, v) for hypergraph bootstrap: an edge fires when exactly
+    one of its vertices is uninfected."""
+    edge_masks = [_mask(e) for e in h.edges]
+    incident = [[edge_masks[i] for i in ix] for ix in h.incident]
+
+    def spread(state: int, v: int) -> int:
+        if state >> v & 1:
+            return state
+        state |= 1 << v
+        todo = [v]
+        while todo:
+            for e in incident[todo.pop()]:
+                rest = e & ~state
+                if rest and not rest & (rest - 1):
+                    state |= rest
+                    todo.append(rest.bit_length() - 1)
+        return state
+
+    return spread
+
+
+def _min_subset_search(num_vertices, spread, start, mandatory, budget):
+    # ``start`` is the closure of the mandatory set.  Candidates come in
+    # ascending size, then as lexicographic subsets of the free vertices, so
+    # the first hit is minimal; the full vertex set always percolates, so the
+    # scan returns by size len(free) at the latest.
+    #
+    # Each prefix P keeps a dead mask: closure(P), the dead mask of its
+    # parent, and closure(P + y) for each vertex y whose subtree under P is
+    # done.  A candidate C = P + x + T with x dead cannot percolate: x lies in
+    # closure(P) (then closure(C) = closure(C - x), a smaller candidate) or in
+    # closure(Q + y) for a prefix Q of P and a vertex y tried before Q's next
+    # vertex (then C lies in the closure of C - x + y, an earlier candidate of
+    # the same size).  Either one was tested and failed, so the subtree under
+    # x is counted without being walked.
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    full = (1 << num_vertices) - 1
     forced = set(mandatory)
     free = [v for v in range(num_vertices) if v not in forced]
-    tested = 0
-    for k in range(len(mandatory), num_vertices + 1):
-        for combo in itertools.combinations(free, k - len(mandatory)):
-            if tested >= budget:
-                raise SearchBudgetExceeded(tested, budget)
-            tested += 1
-            candidate = mandatory + list(combo)
-            if percolates_fn(candidate):
-                return SearchResult(k, tuple(sorted(candidate)), tested)
+    nfree = len(free)
+    if budget == 0:
+        raise SearchBudgetExceeded(0, budget)
+    tested = 1  # the mandatory set alone
+    if start == full:
+        return SearchResult(len(mandatory), tuple(sorted(mandatory)), tested)
+    for size in range(1, nfree + 1):
+        # One frame per prefix: [closure, dead mask, next free index to try].
+        frames = [[start, start, 0]]
+        while frames:
+            frame = frames[-1]
+            state, dead, lo = frame
+            after = size - len(frames)  # vertices still to pick after the next one
+            if after:
+                i = lo
+                while i < nfree - after and dead >> free[i] & 1:
+                    skipped = math.comb(nfree - 1 - i, after)
+                    if tested + skipped > budget:
+                        # The scan stops inside this subtree, after candidate number ``budget``.
+                        raise SearchBudgetExceeded(budget, budget)
+                    tested += skipped
+                    i += 1
+                if i < nfree - after:
+                    frame[2] = i + 1
+                    reached = spread(state, free[i])
+                    frames.append([reached, dead | reached, i + 1])
+                    continue
+            else:
+                for i in range(lo, nfree):
+                    if tested >= budget:
+                        raise SearchBudgetExceeded(tested, budget)
+                    tested += 1
+                    v = free[i]
+                    if not dead >> v & 1:
+                        reached = spread(state, v)
+                        if reached == full:
+                            witness = mandatory + [free[f[2] - 1] for f in frames[:-1]] + [v]
+                            return SearchResult(len(witness), tuple(sorted(witness)), tested)
+                        dead |= reached
+            # Nothing under this prefix percolates.
+            frames.pop()
+            if frames:
+                frames[-1][1] |= state
     raise AssertionError("the full vertex set failed to percolate")
 
 
@@ -65,12 +153,16 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> Sea
     """
     covered = set(itertools.chain.from_iterable(h.edges))
     mandatory = [v for v in range(h.num_vertices) if v not in covered]
-    return _min_subset_search(h.num_vertices, lambda cand: percolates(h, cand), mandatory, budget)
+    start = _mask(closure(h, mandatory).final)
+    return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget)
 
 
-def _greedy_deletion(num_vertices, percolates_fn, trials, seed):
+def _greedy_deletion(num_vertices, spread, empty_closure, trials, seed):
+    # A candidate percolates iff folding spread over it from the closure of
+    # the empty set reaches every vertex.
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    full = (1 << num_vertices) - 1
     rng = random.Random(seed)
     best = frozenset(range(num_vertices))
     for _ in range(trials):
@@ -79,7 +171,7 @@ def _greedy_deletion(num_vertices, percolates_fn, trials, seed):
         current = set(range(num_vertices))
         for v in order:
             smaller = current - {v}
-            if percolates_fn(smaller):
+            if functools.reduce(spread, smaller, empty_closure) == full:
                 current = smaller
         if len(current) < len(best):
             best = frozenset(current)
@@ -95,7 +187,8 @@ def greedy_upper_bound(h: Hypergraph, trials: int = 1, seed: int = 0) -> frozens
     dropped later.  Deterministic given the seed; the result percolates by
     construction, so its size is an upper bound on the true minimum.
     """
-    return _greedy_deletion(h.num_vertices, lambda cand: percolates(h, cand), trials, seed)
+    empty_closure = _mask(closure(h, ()).final)
+    return _greedy_deletion(h.num_vertices, _edge_spread(h), empty_closure, trials, seed)
 
 
 class Graph:
@@ -131,7 +224,7 @@ def grid_graph(dims) -> Graph:
     Vertices are row-major ids of the 1-based coordinate tuples; two vertices
     are adjacent iff their tuples differ by exactly 1 in one axis.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(operator.index(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"axis lengths must be >= 1, got {dims}")
     strides = [1] * len(dims)
@@ -182,6 +275,25 @@ def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
     return frozenset(i for i, flag in enumerate(infected) if flag)
 
 
+def _neighbour_spread(g: Graph, r: int):
+    """spread(state, v) for r-neighbour bootstrap on g."""
+    neighbour_masks = [_mask(ns) for ns in g.adj]
+
+    def spread(state: int, v: int) -> int:
+        if state >> v & 1:
+            return state
+        state |= 1 << v
+        todo = [v]
+        while todo:
+            for w in g.adj[todo.pop()]:
+                if not state >> w & 1 and (neighbour_masks[w] & state).bit_count() >= r:
+                    state |= 1 << w
+                    todo.append(w)
+        return state
+
+    return spread
+
+
 def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exhaustive minimum percolating set for the r-neighbour process.
 
@@ -190,11 +302,9 @@ def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGE
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    nv = g.num_vertices
-    mandatory = [v for v in range(nv) if len(g.adj[v]) < r]
-    return _min_subset_search(
-        nv, lambda cand: len(r_neighbour_closure(g, cand, r)) == nv, mandatory, budget
-    )
+    mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
+    start = _mask(r_neighbour_closure(g, mandatory, r))
+    return _min_subset_search(g.num_vertices, _neighbour_spread(g, r), start, mandatory, budget)
 
 
 def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:
@@ -202,6 +312,5 @@ def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int 
     greedy_upper_bound; the same one-pass argument applies)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _greedy_deletion(
-        g.num_vertices, lambda cand: len(r_neighbour_closure(g, cand, r)) == g.num_vertices, trials, seed
-    )
+    empty_closure = _mask(r_neighbour_closure(g, (), r))
+    return _greedy_deletion(g.num_vertices, _neighbour_spread(g, r), empty_closure, trials, seed)

@@ -244,6 +244,31 @@ def test_negative_budget_is_invalid_input(capsys, argv):
     assert captured.err == "error: budget must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,minimum,witness,tested",
+    [
+        (["wsat", "--n", "7", "--k", "3"], 6, [0, 1, 2, 3, 4, 5], 27897),
+        (["wsat", "--n", "6", "--k", "5"], 12, list(range(12)), 32193),
+        (["minperc", "--n", "4,4", "--t", "2,3", "--r", "2", "--exhaustive"],
+         10, [0, 1, 2, 3, 4, 5, 8, 9, 12, 13], 50793),
+    ],
+)
+def test_benchmark_search_counts(capsys, argv, minimum, witness, tested):
+    # The benchmark's exhaustive commands: the scan order fixes every count.
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert (data["minimum"], data["witness"], data["tested"]) == (minimum, witness, tested)
+
+
+def test_benchmark_budget_exit(capsys):
+    argv = ["minperc", "--d", "3", "--n", "3", "--t", "2", "--r", "2", "--family", "P",
+            "--exhaustive", "--budget", "50000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted after 50000 candidate sets (budget 50000)\n"
+
+
 class TestSweep:
     def test_header_and_shape(self, capsys):
         code = main(["sweep", "--max-n", "3", "--max-d", "2"])
@@ -278,6 +303,12 @@ class TestSweep:
     def test_families_unknown(self, capsys):
         assert main(["sweep", "--max-n", "2", "--max-d", "1", "--families", "K,Q"]) == 2
         assert capsys.readouterr().err == "error: unknown family 'Q' in --families\n"
+
+    def test_negative_brute_tests(self, capsys):
+        assert main(["sweep", "--max-n", "2", "--max-d", "1", "--brute-tests", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --brute-tests must be >= 0, got -5\n"
 
 
 class TestParser:

@@ -223,6 +223,9 @@ class TestDependencyCoeffs:
             dependency_coeffs(m, (1, 1, 2))
         with pytest.raises(ValueError):
             dependency_coeffs(m, (1, 2, 5))
+        # float row indices are rejected, not truncated to (1, 2, 3)
+        with pytest.raises(TypeError):
+            dependency_coeffs(m, (1.9, 2, 3.2))
 
     def test_zero_coefficient_detected(self):
         # rows 1, 2, 4 of this matrix are dependent with a zero coefficient on

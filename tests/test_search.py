@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from gridperc.grid import GridSpec, extremal_size
 from gridperc.percolation import Hypergraph, grid_hypergraph, percolates
 from gridperc.search import (
+    DEFAULT_BUDGET,
     Graph,
     SearchBudgetExceeded,
+    SearchResult,
     greedy_r_neighbour_upper_bound,
     greedy_upper_bound,
     grid_graph,
@@ -44,6 +46,67 @@ def hypergraphs(draw, max_vertices=7, max_edges=8):
     nv = draw(st.integers(1, max_vertices))
     edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
     return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
+
+
+@st.composite
+def graphs(draw, max_vertices=8, max_edges=14):
+    nv = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=max_edges)) if pairs else []
+    return Graph(nv, edges)
+
+
+def plain_scan(num_vertices, percolates_fn, mandatory, budget):
+    """Reference exhaustive search: every candidate in ascending size, then
+    lexicographic order, each judged by a closure oracle, with the budget
+    checked before each one."""
+    forced = set(mandatory)
+    free = [v for v in range(num_vertices) if v not in forced]
+    tested = 0
+    for k in range(len(mandatory), num_vertices + 1):
+        for combo in itertools.combinations(free, k - len(mandatory)):
+            if tested >= budget:
+                raise SearchBudgetExceeded(tested, budget)
+            tested += 1
+            candidate = mandatory + list(combo)
+            if percolates_fn(candidate):
+                return SearchResult(k, tuple(sorted(candidate)), tested)
+    raise AssertionError("the full vertex set failed to percolate")
+
+
+def plain_greedy(num_vertices, percolates_fn, trials, seed):
+    """Reference greedy deletion, each step judged by a closure oracle."""
+    rng = random.Random(seed)
+    best = frozenset(range(num_vertices))
+    for _ in range(trials):
+        order = list(range(num_vertices))
+        rng.shuffle(order)
+        current = set(range(num_vertices))
+        for v in order:
+            smaller = current - {v}
+            if percolates_fn(smaller):
+                current = smaller
+        if len(current) < len(best):
+            best = frozenset(current)
+    return best
+
+
+def hypergraph_oracle(h):
+    covered = set(itertools.chain.from_iterable(h.edges))
+    return [v for v in range(h.num_vertices) if v not in covered], lambda cand: percolates(h, cand)
+
+
+def graph_oracle(g, r):
+    mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
+    return mandatory, lambda cand: len(r_neighbour_closure(g, cand, r)) == g.num_vertices
+
+
+def outcome(search, *args, **kwargs):
+    """The search's result, or what its SearchBudgetExceeded carries."""
+    try:
+        return search(*args, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return ("budget exceeded", exc.tested, exc.budget)
 
 
 def naive_minimum(h):
@@ -157,6 +220,9 @@ class TestGraphs:
             grid_graph(())
         with pytest.raises(ValueError):
             hypercube_graph(0)
+        # float axis lengths are rejected, not truncated to a 3 x 3 grid
+        with pytest.raises(TypeError):
+            grid_graph([3.7, 3])
 
 
 class TestRNeighbourClosure:
@@ -235,3 +301,60 @@ class TestMinRNeighbour:
         witness = greedy_r_neighbour_upper_bound(g, 3, trials=20, seed=0)
         assert r_neighbour_closure(g, witness, 3) == frozenset(range(8))
         assert len(witness) >= 4
+
+
+class TestAgainstPlainScan:
+    """The prefix-closure searches and the mask-based greedy bounds agree
+    exactly with the plain scans over the closure oracles: minimum, witness,
+    tested count, and the count a budget exit reports."""
+
+    @settings(deadline=None)
+    @given(hypergraphs(max_vertices=9, max_edges=10), st.data())
+    def test_exact_search(self, h, data):
+        mandatory, perc = hypergraph_oracle(h)
+        expected = plain_scan(h.num_vertices, perc, mandatory, DEFAULT_BUDGET)
+        assert min_percolating_exact(h) == expected
+        budget = data.draw(st.integers(0, expected.tested + 1), label="budget")
+        assert outcome(min_percolating_exact, h, budget=budget) == outcome(
+            plain_scan, h.num_vertices, perc, mandatory, budget
+        )
+
+    @settings(deadline=None)
+    @given(graphs(), st.integers(1, 3), st.data())
+    def test_r_neighbour_search(self, g, r, data):
+        mandatory, perc = graph_oracle(g, r)
+        expected = plain_scan(g.num_vertices, perc, mandatory, DEFAULT_BUDGET)
+        assert min_r_neighbour_percolating(g, r) == expected
+        budget = data.draw(st.integers(0, expected.tested + 1), label="budget")
+        assert outcome(min_r_neighbour_percolating, g, r, budget=budget) == outcome(
+            plain_scan, g.num_vertices, perc, mandatory, budget
+        )
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda budget: min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "P"), budget=budget),
+            lambda budget: min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 1), "K"), budget=budget),
+            lambda budget: min_r_neighbour_percolating(hypercube_graph(3), 2, budget=budget),
+        ],
+    )
+    def test_every_budget(self, search):
+        # The plain scan stops before candidate budget + 1, reporting budget.
+        full = search(DEFAULT_BUDGET)
+        for budget in range(full.tested + 2):
+            expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
+            assert outcome(search, budget) == expected
+
+    @settings(deadline=None)
+    @given(hypergraphs(max_vertices=9, max_edges=10), st.integers(1, 4), st.integers(0, 1000))
+    def test_greedy(self, h, trials, seed):
+        _, perc = hypergraph_oracle(h)
+        assert greedy_upper_bound(h, trials, seed) == plain_greedy(h.num_vertices, perc, trials, seed)
+
+    @settings(deadline=None)
+    @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
+    def test_r_neighbour_greedy(self, g, r, trials, seed):
+        _, perc = graph_oracle(g, r)
+        assert greedy_r_neighbour_upper_bound(g, r, trials, seed) == plain_greedy(
+            g.num_vertices, perc, trials, seed
+        )
