@@ -5,6 +5,12 @@ rneighbour, wsat, sweep.  Output is JSON; tabular commands also render CSV
 via --format csv.  Exit codes: 0 success / verified / percolated, 1 negative
 result (non-percolation, invalid certificate), 2 invalid input, 3 search
 budget exceeded.
+
+Each ``_cmd_*`` handler only computes: it returns ``(payload, table,
+exit_code)``, where ``payload`` is the JSON-ready result and ``table`` holds
+the CSV rows, header row first, or is None on commands without --format.
+``main`` alone reads --format and --out, serializes, writes, and maps errors
+to exit codes.
 """
 
 from __future__ import annotations
@@ -69,11 +75,11 @@ def _parse_spec(args) -> GridSpec:
     return GridSpec(tuple(ns), tuple(ts), args.r)
 
 
-def _add_spec_args(p: argparse.ArgumentParser, with_family: bool = True) -> None:
+def _add_spec_args(p: argparse.ArgumentParser, with_family: bool = True, required: bool = True) -> None:
     p.add_argument("--d", type=int, default=None, help="number of axes (inferred from --n/--t lists if omitted)")
-    p.add_argument("--r", type=int, required=True, help="number of varying axes per edge")
-    p.add_argument("--n", required=True, help="axis length, or comma list of per-axis lengths")
-    p.add_argument("--t", required=True, help="thickness, or comma list of per-axis thicknesses")
+    p.add_argument("--r", type=int, required=required, help="number of varying axes per edge")
+    p.add_argument("--n", required=required, help="axis length, or comma list of per-axis lengths")
+    p.add_argument("--t", required=required, help="thickness, or comma list of per-axis thicknesses")
     if with_family:
         p.add_argument("--family", choices=["K", "P"], default="K", help="edge family (default K)")
 
@@ -84,82 +90,51 @@ def _add_output_args(p: argparse.ArgumentParser, formats=()) -> None:
         p.add_argument("--format", choices=list(formats), default=formats[0])
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, payload) -> None:
-    _write(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_csv(args, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(args, buf.getvalue())
-
-
 def _found(result) -> dict:
     """Output fields of an exhaustive search result."""
     return {"minimum": result.minimum, "witness": list(result.witness), "tested": result.tested}
 
 
-def _cmd_formula(args) -> int:
+def _cmd_formula(args):
     spec = _parse_spec(args)
     value = extremal_size(spec)
-    if args.format == "csv":
-        _emit_csv(args, ["extremalSize"], [[value]])
-    else:
-        _emit_json(args, {"extremalSize": value})
-    return 0
+    return {"extremalSize": value}, [["extremalSize"], [value]], 0
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args):
     spec = _parse_spec(args)
-    u = extremal_set(spec)
-    if args.format == "csv":
-        header = [f"x{k}" for k in range(1, spec.d + 1)]
-        _emit_csv(args, header, [list(v) for v in u])
-    else:
-        _emit_json(args, {"uSize": len(u), "vertices": [list(v) for v in u]})
-    return 0
+    u = [list(v) for v in extremal_set(spec)]
+    header = [f"x{k}" for k in range(1, spec.d + 1)]
+    return {"uSize": len(u), "vertices": u}, [header, *u], 0
 
 
-def _cmd_edges(args) -> int:
+def _cmd_edges(args):
     spec = _parse_spec(args)
     count = count_edges(spec, args.family)
-    if args.format == "csv":
-        if args.list:
-            rows = [
-                [i, " ".join(str(encode_vertex(spec, v)) for v in edge.vertices())]
-                for i, edge in enumerate(enumerate_edges(spec, args.family))
-            ]
-            _emit_csv(args, ["index", "vertices"], rows)
-        else:
-            _emit_csv(args, ["count"], [[count]])
-        return 0
     payload = {"family": args.family, "count": count}
+    table = [["count"], [count]]
     if args.list:
+        edges = [
+            (edge, [encode_vertex(spec, v) for v in edge.vertices()])
+            for edge in enumerate_edges(spec, args.family)
+        ]
         payload["edges"] = [
             {
                 "varying": list(edge.varying),
                 "values": [list(vals) for vals in edge.values],
                 "fixed": list(edge.fixed),
-                "vertices": [encode_vertex(spec, v) for v in edge.vertices()],
+                "vertices": ids,
             }
-            for edge in enumerate_edges(spec, args.family)
+            for edge, ids in edges
         ]
-    _emit_json(args, payload)
-    return 0
+        table = [["index", "vertices"]] + [[i, " ".join(map(str, ids))] for i, (_, ids) in enumerate(edges)]
+    return payload, table, 0
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args):
     if args.input:
+        if args.initial_u or any(x is not None for x in (args.d, args.r, args.n, args.t)):
+            raise ValueError("--input takes neither a grid spec (--d/--r/--n/--t) nor --initial-u")
         h = read_hypergraph(args.input)
         if args.infected is None:
             raise ValueError("--infected is required with --input")
@@ -177,28 +152,24 @@ def _cmd_closure(args) -> int:
             raise ValueError("provide --infected ids or --initial-u")
     result = closure(h, initial)
     perc = len(result.final) == h.num_vertices
-    _emit_json(
-        args,
-        {
-            "numVertices": h.num_vertices,
-            "initial": sorted(result.initial),
-            "finalSize": len(result.final),
-            "final": sorted(result.final),
-            "percolates": perc,
-            "trace": [[v, e] for v, e in result.trace],
-        },
-    )
-    return 0 if perc else 1
+    payload = {
+        "numVertices": h.num_vertices,
+        "initial": sorted(result.initial),
+        "finalSize": len(result.final),
+        "final": sorted(result.final),
+        "percolates": perc,
+        "trace": [[v, e] for v, e in result.trace],
+    }
+    return payload, None, 0 if perc else 1
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     spec = _parse_spec(args)
     cert = certified_lower_bound(spec, args.family)
-    _emit_json(args, certificate_to_dict(cert, include_f_vectors=args.include_f_vectors))
-    return 0
+    return certificate_to_dict(cert, include_f_vectors=args.include_f_vectors), None, 0
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args):
     spec = _parse_spec(args)
     cert = certified_lower_bound(spec, args.family)
     if args.infected is not None:
@@ -209,23 +180,20 @@ def _cmd_audit(args) -> int:
         drop = {decode_vertex(spec, i) for i in _int_list(args.remove)}
         vertices = [v for v in vertices if v not in drop]
     report = audit_percolating_set(cert, vertices, family=args.family)
-    _emit_json(
-        args,
-        {
-            "family": args.family,
-            "initialSize": report.initial_size,
-            "percolated": report.percolated,
-            "seedRank": report.seed_rank,
-            "uSize": report.u_size,
-            "stepsInSpan": list(report.steps_in_span),
-            "allStepsInSpan": report.all_steps_in_span,
-            "ok": report.ok,
-        },
-    )
-    return 0 if report.ok else 1
+    payload = {
+        "family": args.family,
+        "initialSize": report.initial_size,
+        "percolated": report.percolated,
+        "seedRank": report.seed_rank,
+        "uSize": report.u_size,
+        "stepsInSpan": list(report.steps_in_span),
+        "allStepsInSpan": report.all_steps_in_span,
+        "ok": report.ok,
+    }
+    return payload, None, 0 if report.ok else 1
 
 
-def _cmd_minperc(args) -> int:
+def _cmd_minperc(args):
     spec = _parse_spec(args)
     h = grid_hypergraph(spec, args.family)
     if args.exhaustive:
@@ -247,66 +215,46 @@ def _cmd_minperc(args) -> int:
             "witness": witness,
             "tested": 1,
         }
-    if args.format == "csv":
-        _emit_csv(
-            args,
-            ["family", "mode", "minimum", "witness", "tested"],
-            [[payload["family"], payload["mode"], payload["minimum"],
-              " ".join(map(str, payload["witness"])), payload["tested"]]],
-        )
-    else:
-        _emit_json(args, payload)
-    return 0
+    row = {**payload, "witness": " ".join(map(str, payload["witness"]))}
+    return payload, [list(row), list(row.values())], 0
 
 
-def _cmd_rneighbour(args) -> int:
+def _cmd_rneighbour(args):
     if (args.grid is None) == (args.hypercube is None):
         raise ValueError("provide exactly one of --grid or --hypercube")
     if args.grid is not None:
-        g = grid_graph(_int_list(args.grid))
-        desc = {"kind": "grid", "dims": _int_list(args.grid)}
+        dims = _int_list(args.grid)
+        g = grid_graph(dims)
+        desc = {"kind": "grid", "dims": dims}
     else:
         g = hypercube_graph(args.hypercube)
         desc = {"kind": "hypercube", "d": args.hypercube}
+    payload = {"graph": desc, "r": args.r}
     if args.exhaustive:
-        payload = {
-            "graph": desc,
-            "r": args.r,
-            "mode": "exhaustive",
-            **_found(min_r_neighbour_percolating(g, args.r, budget=args.budget)),
-        }
+        payload["mode"] = "exhaustive"
+        payload.update(_found(min_r_neighbour_percolating(g, args.r, budget=args.budget)))
     else:
         witness = greedy_r_neighbour_upper_bound(g, args.r, trials=args.trials, seed=args.seed)
-        payload = {
-            "graph": desc,
-            "r": args.r,
-            "mode": "greedy",
-            "upperBound": len(witness),
-            "witness": sorted(witness),
-            "trials": args.trials,
-            "seed": args.seed,
-        }
+        payload.update(
+            mode="greedy", upperBound=len(witness), witness=sorted(witness), trials=args.trials, seed=args.seed
+        )
     # independent sanity check on whichever witness we are about to report
     if len(r_neighbour_closure(g, payload["witness"], args.r)) != g.num_vertices:
         raise CertificateError("reported witness does not percolate")
-    _emit_json(args, payload)
-    return 0
+    return payload, None, 0
 
 
-def _cmd_wsat(args) -> int:
+def _cmd_wsat(args):
     h = weak_saturation_hypergraph(args.n, args.k)
     result = min_percolating_exact(h, budget=args.budget)
-    _emit_json(
-        args,
-        {
-            "n": args.n,
-            "k": args.k,
-            "numVertices": h.num_vertices,
-            "numEdges": len(h.edges),
-            **_found(result),
-        },
-    )
-    return 0
+    payload = {
+        "n": args.n,
+        "k": args.k,
+        "numVertices": h.num_vertices,
+        "numEdges": len(h.edges),
+        **_found(result),
+    }
+    return payload, None, 0
 
 
 SWEEP_HEADER = ["d", "r", "n", "t", "family", "formula", "lower_bound", "brute_force", "edges", "u_size", "runtime_ms"]
@@ -322,7 +270,7 @@ def _sweep_specs(args):
                     yield GridSpec.cube(n, d, t, r)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or len(set(families)) != len(families):
         raise ValueError(f"--families needs distinct families, got {args.families!r}")
@@ -352,11 +300,7 @@ def _cmd_sweep(args) -> int:
                 [spec.d, spec.r, spec.dims[0], spec.thick[0], family, formula,
                  cert.lower_bound, brute, edge_count, u_size, runtime_ms]
             )
-    if args.format == "csv":
-        _emit_csv(args, SWEEP_HEADER, rows)
-    else:
-        _emit_json(args, [dict(zip(SWEEP_HEADER, row)) for row in rows])
-    return 0
+    return [dict(zip(SWEEP_HEADER, row)) for row in rows], [SWEEP_HEADER, *rows], 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,13 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="run the bootstrap closure from an initial set")
     p.add_argument("--input", default=None, help="hypergraph text file ('p <nv> <ne>' header)")
-    p.add_argument("--infected", default=None, help="comma list of initially infected 0-based ids")
-    p.add_argument("--initial-u", action="store_true", help="start from the extremal set (grid mode)")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--family", choices=["K", "P"], default="K")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--infected", default=None, help="comma list of initially infected 0-based ids")
+    start.add_argument("--initial-u", action="store_true", help="start from the extremal set (grid mode)")
+    _add_spec_args(p, required=False)
     _add_output_args(p)
     p.set_defaults(handler=_cmd_closure)
 
@@ -450,7 +391,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, table, code = args.handler(args)
+        if table is not None and args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(table)
+            text = buf.getvalue()
+        else:
+            text = json.dumps(payload, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

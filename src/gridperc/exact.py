@@ -44,6 +44,7 @@ class EliminationBasis:
     """
 
     def __init__(self, ncols: int) -> None:
+        ncols = operator.index(ncols)
         if ncols < 0:
             raise ValueError(f"negative column count {ncols}")
         self.ncols = ncols

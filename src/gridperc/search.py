@@ -92,6 +92,7 @@ def _min_subset_search(num_vertices, spread, start, mandatory, budget):
     # vertex (then C lies in the closure of C - x + y, an earlier candidate of
     # the same size).  Either one was tested and failed, so the subtree under
     # x is counted without being walked.
+    budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     full = (1 << num_vertices) - 1
@@ -252,6 +253,7 @@ def hypercube_graph(d: int) -> Graph:
 
 def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
     """Closure under: a vertex with at least r infected neighbours is infected."""
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     infected = bytearray(g.num_vertices)
@@ -300,6 +302,7 @@ def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGE
     Same enumeration scheme and errors as min_percolating_exact; vertices of
     degree < r can never be infected, so they are forced into every candidate.
     """
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
@@ -310,6 +313,7 @@ def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGE
 def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:
     """Greedy-deletion upper bound for the r-neighbour process (cf.
     greedy_upper_bound; the same one-pass argument applies)."""
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     empty_closure = _mask(r_neighbour_closure(g, (), r))

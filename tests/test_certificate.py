@@ -277,6 +277,21 @@ class TestCertifiedLowerBound:
         with pytest.raises(CertificateError, match="span deficit"):
             certified_lower_bound(SPEC_3222, "K")
 
+    def test_nonzero_dependency_sum_is_rejected(self, monkeypatch):
+        # (3, 3) is not extremal, so the span check still passes and only the
+        # dependency sums of the edges through (3, 3) can catch the damage.
+        original = certificate.projection_component
+
+        def damaged(v, proj_axes, ctx):
+            vec = original(v, proj_axes, ctx)
+            if v == (3, 3):
+                vec[ctx.u_index[(1, 1)]] += 1
+            return vec
+
+        monkeypatch.setattr(certificate, "projection_component", damaged)
+        with pytest.raises(CertificateError, match="nonzero dependency sum"):
+            certified_lower_bound(SPEC_3222, "K")
+
     def test_vectors_built_on_first_use(self):
         cert = certified_lower_bound(SPEC_INHOM, "K")
         assert "f_vectors" not in cert.__dict__

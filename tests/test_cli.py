@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +98,29 @@ class TestClosure:
         assert main(["closure"]) == 2
         assert main(["closure", "--d", "2", "--r", "2", "--n", "3", "--t", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--initial-u"],
+            ["--infected", "0,3,5", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
+            ["--infected", "0,3,5", "--r", "2"],
+        ],
+        ids=["initial-u", "spec", "r-only"],
+    )
+    def test_input_rejects_grid_arguments(self, capsys, tmp_path, extra):
+        path = tmp_path / "wsat.hg"
+        path.write_text(format_hypergraph(weak_saturation_hypergraph(4, 3)))
+        assert main(["closure", "--input", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --input takes neither a grid spec (--d/--r/--n/--t) nor --initial-u\n"
+
+    def test_infected_and_initial_u_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["closure", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--initial-u", "--infected", "0"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_bad_file(self, capsys, tmp_path):
         assert main(["closure", "--input", str(tmp_path / "missing.hg"), "--infected", "0"]) == 2
@@ -378,3 +403,144 @@ def test_import_loads_no_worker_machinery():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Exit code and SHA-256 of stdout + NUL + stderr for each command, recorded
+# before the handlers were made to return their output to ``main``.  Sweep
+# rows end in ``runtime_ms``, which is masked.  The commands run in a
+# directory holding the two hypergraph files below.  A failure shows the new
+# pair; replace an entry only when its output is meant to change.
+GOLDEN = {
+    "formula --d 3 --r 2 --n 5 --t 3":
+        (0, "6ac8ba728a45ce10eaeafa2410a619ec88d8b8ec2ca7e280a3b80e89f3501fa9"),
+    "formula --r 2 --n 3,4 --t 2,3 --format csv":
+        (0, "d925860785f2d596854cb340a5d04871e20ae95c09fe463ac49c68c782f4c144"),
+    "formula --d 3 --r 1 --n 3,4 --t 2":
+        (2, "cc290b7165abfaf6966bd2e04ace041c6537e2129a996032f93c31ece7d6ea8f"),
+    "formula --d 2 --r 2 --n 3 --t 5":
+        (2, "dd16a537ff016842a4bb74a9b36abd9efc030ad4910dc655d0071a9c4ac45e51"),
+    "extremal --d 2 --r 2 --n 3 --t 2":
+        (0, "d9f973b5adac40aa992c7c7edc88041b3432408eb389f806dc51bf3b1fbcbe59"),
+    "extremal --r 2 --n 3,4 --t 2,3 --format csv":
+        (0, "f9ef285222c3704bc01399a87e8bf275d7a60a434dbda5d12f0d469609f64f4c"),
+    "edges --d 2 --r 2 --n 3 --t 2 --family P":
+        (0, "dc0b28f60c0a1602b440f31854f4b9a64b94c2c1b71c0f63ff9780f1d6b75756"),
+    "edges --d 2 --r 2 --n 3 --t 2 --format csv":
+        (0, "20d334378c49fde6ecb4b78432dc59837ca7f813612c96073f553ed1dc2b25ee"),
+    "edges --d 2 --r 2 --n 3 --t 2 --family P --list":
+        (0, "5d63b0809300f7ca7fe4fa78d36aff2c1160e531629dba589495fa3cf5a044cd"),
+    "edges --d 2 --r 2 --n 3 --t 2 --list --format csv":
+        (0, "484989b5623069425a878f79dd417f358a30b7c29008081fc7778f53a0d2279b"),
+    "closure --input wsat.hg --infected 0,3,5":
+        (0, "ab12a795c75adc75f6f3e8e6d7880fce3a2a66b96c1df1b8ee239368cca0e96c"),
+    "closure --input h.hg --infected 0":
+        (1, "73bfd0a100d25711c1382eba9f4567ee51ece7251ee69b9c03d5424d3e982b66"),
+    "closure --input missing.hg --infected 0":
+        (2, "54c8e4af5de5ba2a82ed7166e375d535d7a5ae1928a7a2205e82662bf213aa39"),
+    "closure --input wsat.hg":
+        (2, "33528ca583732d8201a2adf5c3af8bd4a395a7fa8715d77233f1e9b58506cf97"),
+    "closure --d 2 --r 2 --n 3 --t 2 --family P --initial-u":
+        (0, "e992b861c9cc5c6ce00bc81b6c553b930273c210203e9a76da8eb56dac252e7e"),
+    "closure --n 3,4 --t 2,3 --r 2 --infected 0,1,2,3":
+        (1, "b6987bd56ad831c1a68538e2894e666decb6e17daee8f002016975390eeda0dd"),
+    "closure --d 2 --r 2 --n 3 --t 2":
+        (2, "578b1a21889cde9396fad9522e1bd6c03fe06f2b83f921d8cd15433cf4934dd3"),
+    "closure":
+        (2, "440b192868a83823e33e6ee135301ee121859b0a4cc6a8cab2f305173c226a6d"),
+    "certify --d 2 --r 2 --n 3 --t 2":
+        (0, "5014c707cc0ec78d50b562b7ae2e6ff7d4de032d758a7cb36299ec6a797eff72"),
+    "certify --n 3,4 --t 2,3 --r 2 --family P --include-f-vectors":
+        (0, "aa65e907432f68ea4d00d0d9ccf9a158bdf827187efbaca2292a3d8654b11219"),
+    "audit --d 2 --r 2 --n 3 --t 2 --family P":
+        (0, "5af1b5aa9bfc3d45e7f666e211ae6f0cbc4f865221ccc6905e51f1b44cffec9f"),
+    "audit --d 2 --r 2 --n 3 --t 2 --remove 0":
+        (1, "d65858d4865afa04e28b8f61f16b1af65418c8bd233492d9cd9ce1a6cc66999f"),
+    "audit --d 2 --r 2 --n 3 --t 2 --infected 0,1,2,3,4,5,6,7,8":
+        (0, "ad8a4636a115d817cbfa4332153e7221d7b070a36e7c1746a8a922521fda6b69"),
+    "audit --d 2 --r 2 --n 3 --t 2 --remove 99":
+        (2, "fdc38dbe3920f9a8aa0afe972e8cb933c80dd220d617f77a2fe66304567705c0"),
+    "minperc --d 2 --r 2 --n 3 --t 2":
+        (0, "937e1140657a86f82a46e4f1dba8fead6b97f75c87ed98e830dc391c8b62e97e"),
+    "minperc --d 2 --r 2 --n 3 --t 2 --format csv":
+        (0, "a95dd93caf4915a5c400b72fb566ab07ebd8f70ba1bbae85fca739dba41c4f3a"),
+    "minperc --d 2 --r 2 --n 3 --t 2 --family P --exhaustive":
+        (0, "7c9e75f45cf3f0c749b5e0bab7fd158c709b459071e6bdb118efdad2600ecb56"),
+    "minperc --d 2 --r 2 --n 3 --t 2 --family P --exhaustive --format csv":
+        (0, "dd014bab5677d9877d3abed0fbab3d62d14d1dd93e2df2d04f7bd5593c00a7c6"),
+    "minperc --d 2 --r 2 --n 3 --t 2 --exhaustive --budget 5":
+        (3, "ab228ad0e380e815ddc4323a49b14e2cbc13c7e402246655639a6f1c59e73779"),
+    "minperc --d 2 --r 2 --n 3 --t 2 --exhaustive --budget -1":
+        (2, "48464f27323becddc15f071abdf447c16c9b528c6954090dd8a8f315e139401e"),
+    "rneighbour --grid 4,4 --r 2 --trials 20":
+        (0, "cf47097bbbe60cf4f6397752bf0c933c2a27f4f41fc9ac0c880589009d70a0a5"),
+    "rneighbour --hypercube 3 --r 3 --seed 7":
+        (0, "ae7eca8f4ad7e33dc1398671d2a7457256c6d29726c45b0f80f9672ed9c0a70f"),
+    "rneighbour --grid 3,3 --r 2 --exhaustive":
+        (0, "2674d64b686c79e0aa126335add6bb7cbf7e0c344bdda348d102e3550d4b778c"),
+    "rneighbour --hypercube 3 --r 2 --exhaustive":
+        (0, "eccc66008670d7181a473ea2b38ed7e9e46adef172138d16b728c528bffb29a5"),
+    "rneighbour --grid 3,3 --r 2 --exhaustive --budget 10":
+        (3, "b8758b6eb5ddf8fbecc23fdd94f88bdb94b45e1ccf17d2aefd6d144bc999b04a"),
+    "rneighbour --r 2":
+        (2, "63ded7a7c6398beadcd279f5956790e149418f8018b148b2442af054e6af77cb"),
+    "rneighbour --grid 3,3 --hypercube 3 --r 2":
+        (2, "63ded7a7c6398beadcd279f5956790e149418f8018b148b2442af054e6af77cb"),
+    "rneighbour --hypercube 3 --r 0":
+        (2, "888b58b5d921c1510037d4e36986075ebd4da0cb2ec1607ff87257b1965e3640"),
+    "wsat --n 5 --k 3":
+        (0, "ec9c310c879fd1693d148f21fe8debd05f1d4b0dcfa613675f37bc6120b71d53"),
+    "wsat --n 5 --k 3 --budget 100":
+        (3, "0922c3bd8a81b2f391238c7ce3bbb604d55a523045d71f939d0db3d3fdb35202"),
+    "wsat --n 3 --k 4":
+        (2, "c6b140d9a5de8f3fd60926c7fdd0c42b0d1509635c15c25c7f2cc544cbe48864"),
+    "sweep --max-n 3 --max-d 2":
+        (0, "c7d1f58393611ee3b87b7ffbabef6f9e866b2fde802c952fd8028bab449a220a"),
+    "sweep --max-n 3 --max-d 2 --families P --brute-tests 2000 --format json":
+        (0, "db9cbd4cbd0a970a49f7e5923ce19dc8e846dc4c8daa00cc81da8706cf3e3000"),
+    "sweep --max-n 2 --max-d 1 --families K,K":
+        (2, "68029528ad9d42dff0edf3d166e14a26de9535f50eaa0cba464b4cbd8ae78d39"),
+    "sweep --max-n 2 --max-d 1 --brute-tests -5":
+        (2, "f1aa44fb38cb9805a47d1a33a0b7f5021a15b5d3ed70c9b219bbbf82e2874b27"),
+}
+
+
+def golden_run(capsys, command):
+    code = main(command.split())
+    captured = capsys.readouterr()
+    out = captured.out
+    if command.startswith("sweep"):
+        out = re.sub(r"\d+$", "#", out, flags=re.M)
+    return code, hashlib.sha256(f"{out}\0{captured.err}".encode()).hexdigest()
+
+
+@pytest.fixture
+def hypergraph_dir(tmp_path, monkeypatch):
+    (tmp_path / "wsat.hg").write_text(format_hypergraph(weak_saturation_hypergraph(4, 3)))
+    (tmp_path / "h.hg").write_text("p 3 1\n0 1 2\n")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(capsys, hypergraph_dir, command):
+    assert golden_run(capsys, command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["extremal --d 2 --r 2 --n 3 --t 2 --format csv", "audit --d 2 --r 2 --n 3 --t 2 --remove 0"],
+)
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, command):
+    code = main(command.split())
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(command.split() + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_out_into_missing_directory_is_invalid_input(capsys, tmp_path):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["formula", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")

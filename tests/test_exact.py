@@ -276,6 +276,12 @@ class TestEliminationBasis:
         with pytest.raises(ValueError):
             basis.insert([1, 2, 3])
 
+    def test_column_count_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            EliminationBasis(2.5)
+        with pytest.raises(ValueError):
+            EliminationBasis(-1)
+
     def test_non_rational_entries_rejected(self):
         for bad in (0.5, Fraction(1, 2), Fraction(4, 2)):
             with pytest.raises(TypeError):

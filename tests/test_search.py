@@ -303,6 +303,23 @@ class TestMinRNeighbour:
         assert len(witness) >= 4
 
 
+@pytest.mark.parametrize(
+    "search,args,kwargs",
+    [
+        (r_neighbour_closure, (grid_graph((3, 3)), [0, 4, 8], 1.5), {}),
+        (min_r_neighbour_percolating, (grid_graph((3, 3)), 1.5), {}),
+        (greedy_r_neighbour_upper_bound, (grid_graph((3, 3)), 1.5), {}),
+        (min_r_neighbour_percolating, (grid_graph((3, 3)), 2), {"budget": 2.5}),
+        (min_percolating_exact, (grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "K"),), {"budget": 2.5}),
+    ],
+    ids=["closure-r", "exhaustive-r", "greedy-r", "exhaustive-budget", "hypergraph-budget"],
+)
+def test_float_threshold_or_budget_is_rejected(search, args, kwargs):
+    # not run as r=2, nor scanned to ceil(budget) candidates
+    with pytest.raises(TypeError):
+        search(*args, **kwargs)
+
+
 class TestAgainstPlainScan:
     """The prefix-closure searches and the mask-based greedy bounds agree
     exactly with the plain scans over the closure oracles: minimum, witness,
