@@ -7,10 +7,10 @@ general-position matrices.  Verified properties:
 
 * span: the vectors have full rank (the extremal-set size), because the
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
-* dependency: for every edge, the vectors of its vertices satisfy a linear
-  dependency whose coefficients (products of per-axis cofactor coefficients)
-  are all nonzero -- checked per projected-axis set, which is finer than the
-  summed dependency.
+* dependency: for every edge, the vectors of its vertices, weighted by their
+  edge coefficients (products of per-axis cofactor coefficients, nonzero by
+  general position), sum to zero -- checked on the very vectors that the
+  certificate outputs and that audits replay.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -168,39 +168,30 @@ def edge_coefficient(edge: GridEdge, v: Vertex, ctx: CertificateContext) -> int:
     return coeff
 
 
-def _edge_dependency_failure(edge: GridEdge, ctx, lam_cache, comp_cache) -> str | None:
-    """Check the per-projected-axis-set dependency sums for one edge.
+def _edge_dependency_failure(edge: GridEdge, ctx, lam_cache, vectors) -> str | None:
+    """Check the summed dependency of one edge: sum_v lambda_v f(v) = 0.
 
-    Returns a description of the first nonzero sum, or None when the edge
-    passes.  Caches are keyed by (axis, values) and (vertex, proj_axes).
+    Each vertex's certificate_vector is weighted by its edge coefficient.
+    Returns a description when the total is nonzero, or None when the edge
+    passes.  ``lam_cache`` is keyed by (axis, values); ``vectors`` maps each
+    vertex to its certificate_vector and is filled on first use.
     """
-    spec = ctx.spec
     lam_axis = []
     for axis, values in zip(edge.varying, edge.values):
         key = (axis, values)
         if key not in lam_cache:
             lam_cache[key] = dependency_coeffs(ctx.axis_matrices[axis - 1], values)
         lam_axis.append(lam_cache[key])
-    verts = list(edge.vertices())
-    lam = []
-    for v in verts:
+    total = [0] * ctx.u_size
+    for v in edge.vertices():
         c = 1
         for (axis, values), lams in zip(zip(edge.varying, edge.values), lam_axis):
             c *= lams[values.index(v[axis - 1])]
-        if c == 0:
-            return f"zero edge coefficient at vertex {v} of edge {edge}"
-        lam.append(c)
-    p = spec.d - spec.r + 1
-    for proj_axes in itertools.combinations(range(1, spec.d + 1), p):
-        total = [0] * ctx.u_size
-        for v, c in zip(verts, lam):
-            key = (v, proj_axes)
-            if key not in comp_cache:
-                comp_cache[key] = projection_component(v, proj_axes, ctx)
-            for i, x in enumerate(comp_cache[key]):
-                total[i] += c * x
-        if any(total):
-            return f"nonzero dependency sum for edge {edge} with projected axes {proj_axes}"
+        if v not in vectors:
+            vectors[v] = certificate_vector(v, ctx)
+        total = [a + c * x for a, x in zip(total, vectors[v])]
+    if any(total):
+        return f"nonzero dependency sum for edge {edge}"
     return None
 
 
@@ -235,21 +226,25 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     drop to at most t_k - 1) and is u itself for the C(#small(u), d-r+1) >= 1
     axis sets inside small(u), all weights being nonnegative.  The |U| x |U|
     block is thus triangular with a positive diagonal, of rank |U|.
-    Dependency sums are checked over the "K" edges, which contain the "P"
-    edges, so one verification covers both families.  Any failure raises
-    CertificateError; on success the lower bound equals the extremal-set size.
+    Dependency: for every edge, the certificate vectors of its vertices,
+    weighted by their nonzero edge coefficients, must sum to zero.  The
+    vectors are computed once per vertex; those of U are shared between the
+    span check and the edges.  The sums run over the "K" edges, which contain
+    the "P" edges, so one verification covers both families.  Any failure
+    raises CertificateError; on success the lower bound equals the
+    extremal-set size.
     """
     ctx = build_context(spec, family)
+    vectors: dict = {}
     sums = [sum(u) for u in ctx.u_vertices]
     for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
-        vec = certificate_vector(u, ctx)
+        vec = vectors[u] = certificate_vector(u, ctx)
         if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
     lam_cache: dict = {}
-    comp_cache: dict = {}
     for edge in enumerate_edges(spec, "K"):
-        failure = _edge_dependency_failure(edge, ctx, lam_cache, comp_cache)
+        failure = _edge_dependency_failure(edge, ctx, lam_cache, vectors)
         if failure is not None:
             raise CertificateError(failure)
 

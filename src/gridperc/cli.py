@@ -133,8 +133,8 @@ def _cmd_edges(args):
 
 def _cmd_closure(args):
     if args.input:
-        if args.initial_u or any(x is not None for x in (args.d, args.r, args.n, args.t)):
-            raise ValueError("--input takes neither a grid spec (--d/--r/--n/--t) nor --initial-u")
+        if args.initial_u or any(x is not None for x in (args.d, args.r, args.n, args.t, args.family)):
+            raise ValueError("--input takes neither a grid spec (--d/--r/--n/--t/--family) nor --initial-u")
         h = read_hypergraph(args.input)
         if args.infected is None:
             raise ValueError("--infected is required with --input")
@@ -143,7 +143,7 @@ def _cmd_closure(args):
         if args.n is None or args.t is None or args.r is None:
             raise ValueError("provide either --input FILE or a grid spec (--n/--t/--r)")
         spec = _parse_spec(args)
-        h = grid_hypergraph(spec, args.family)
+        h = grid_hypergraph(spec, args.family or "K")
         if args.initial_u:
             initial = [encode_vertex(spec, v) for v in extremal_set(spec)]
         elif args.infected is not None:
@@ -331,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     start = p.add_mutually_exclusive_group()
     start.add_argument("--infected", default=None, help="comma list of initially infected 0-based ids")
     start.add_argument("--initial-u", action="store_true", help="start from the extremal set (grid mode)")
-    _add_spec_args(p, required=False)
+    _add_spec_args(p, with_family=False, required=False)
+    p.add_argument("--family", choices=["K", "P"], default=None, help="edge family (default K)")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_closure)
 

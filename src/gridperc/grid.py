@@ -138,6 +138,8 @@ class GridEdge:
             raise ValueError("varying axes must be strictly increasing 1-based indices")
         if len(values) != len(varying):
             raise ValueError("one value set per varying axis required")
+        if varying and varying[-1] > len(varying) + len(fixed):
+            raise ValueError(f"varying axis {varying[-1]} beyond dimension {len(varying) + len(fixed)}")
         for vals in values:
             if len(vals) < 2 or list(vals) != sorted(set(vals)) or vals[0] < 1:
                 raise ValueError(f"value set {vals} must be strictly increasing with >= 2 entries")

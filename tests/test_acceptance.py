@@ -2,8 +2,9 @@
 pass/fail line.
 
 Run under pytest (`pytest tests/test_acceptance.py -v -s`) or standalone
-(`python tests/test_acceptance.py`), which prints one line per criterion and
-exits nonzero on any failure.
+(`python tests/test_acceptance.py`, or `PYTHONPATH=src python
+tests/test_acceptance.py` when the package is not installed), which prints one
+line per criterion and exits nonzero on any failure.
 """
 
 import itertools

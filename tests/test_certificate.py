@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,15 @@ def small_specs(draw):
     dims = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
     thick = [draw(st.integers(2, n)) for n in dims]
     return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, d)))
+
+
+@st.composite
+def vector_damage(draw):
+    """A small spec, one of its vertices, a basis position and a nonzero delta."""
+    spec = draw(small_specs())
+    v = decode_vertex(spec, draw(st.integers(0, spec.num_vertices - 1)))
+    position = draw(st.integers(0, extremal_size(spec) - 1))
+    return spec, v, position, draw(st.integers().filter(bool))
 
 
 def basis_vector(ctx, v, scale=1):
@@ -291,6 +301,25 @@ class TestCertifiedLowerBound:
         monkeypatch.setattr(certificate, "projection_component", damaged)
         with pytest.raises(CertificateError, match="nonzero dependency sum"):
             certified_lower_bound(SPEC_3222, "K")
+
+    @settings(deadline=None)
+    @given(vector_damage())
+    def test_property_damaged_vector_is_rejected(self, damage):
+        # Every vertex lies in some edge, where its coefficient is nonzero, so
+        # any change to its vector breaks that edge's summed dependency (or,
+        # for an extremal vertex, possibly the span check first).
+        spec, target, position, delta = damage
+        original = certificate.certificate_vector
+
+        def damaged(v, ctx):
+            vec = original(v, ctx)
+            if v == target:
+                vec[position] += delta
+            return vec
+
+        with mock.patch.object(certificate, "certificate_vector", damaged):
+            with pytest.raises(CertificateError):
+                certified_lower_bound(spec, "K")
 
     def test_vectors_built_on_first_use(self):
         cert = certified_lower_bound(SPEC_INHOM, "K")

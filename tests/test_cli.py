@@ -105,8 +105,9 @@ class TestClosure:
             ["--initial-u"],
             ["--infected", "0,3,5", "--d", "2", "--r", "2", "--n", "3", "--t", "2"],
             ["--infected", "0,3,5", "--r", "2"],
+            ["--infected", "0,3,5", "--family", "P"],
         ],
-        ids=["initial-u", "spec", "r-only"],
+        ids=["initial-u", "spec", "r-only", "family"],
     )
     def test_input_rejects_grid_arguments(self, capsys, tmp_path, extra):
         path = tmp_path / "wsat.hg"
@@ -114,7 +115,7 @@ class TestClosure:
         assert main(["closure", "--input", str(path)] + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --input takes neither a grid spec (--d/--r/--n/--t) nor --initial-u\n"
+        assert captured.err == "error: --input takes neither a grid spec (--d/--r/--n/--t/--family) nor --initial-u\n"
 
     def test_infected_and_initial_u_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as err:

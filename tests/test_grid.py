@@ -222,6 +222,10 @@ class TestGridEdge:
             GridEdge((1,), ((2, 2),), (1,))
         with pytest.raises(ValueError):
             GridEdge((1,), ((1, 2), (1, 2)), ())
+        with pytest.raises(ValueError, match="beyond"):
+            GridEdge((5,), ((1, 2),), ())
+        with pytest.raises(ValueError, match="beyond"):
+            GridEdge((3,), ((1, 2),), (7,))
 
     def test_non_integer_values_rejected(self):
         with pytest.raises(TypeError):
