@@ -60,7 +60,6 @@ from .percolation import (
     percolates,
     read_hypergraph,
     weak_saturation_hypergraph,
-    write_hypergraph,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -128,5 +127,4 @@ __all__ = [
     "verify_general_position",
     "vertices",
     "weak_saturation_hypergraph",
-    "write_hypergraph",
 ]

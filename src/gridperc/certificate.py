@@ -3,14 +3,15 @@
 The certificate assigns every grid vertex an integer vector supported on the
 extremal set's basis positions, built by pushing d-r+1 coordinates at a time
 down to small values and weighting each image by entries of fixed per-axis
-general-position matrices.  Verified properties:
+general-position matrices.  Each vector is computed once, into the table that
+is checked, output and replayed by audits.  Verified properties:
 
 * span: the vectors have full rank (the extremal-set size), because the
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
 * dependency: for every edge, the vectors of its vertices, weighted by their
-  edge coefficients (products of per-axis cofactor coefficients, nonzero by
-  general position), sum to zero -- checked on the very vectors that the
-  certificate outputs and that audits replay.
+  edge coefficients (products of per-axis cofactor coefficients, nonzero
+  because the matrices are in general position, which computing them checks),
+  sum to zero.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -22,24 +23,24 @@ builds and checks the algebra and audits given sets against it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 
 from .exact import (
     EliminationBasis,
+    GeneralPositionError,
     build_general_position_matrix,
     dependency_coeffs,
-    verify_general_position,
 )
 from .grid import (
     GridEdge,
     GridSpec,
     Vertex,
     check_family,
-    decode_vertex,
     encode_vertex,
     enumerate_edges,
     extremal_set,
+    vertices,
 )
 from .percolation import closure, grid_hypergraph
 
@@ -54,13 +55,16 @@ class CertificateContext:
     """Fixed data the certificate vectors are built from.
 
     ``axis_matrices[k]`` is the n_k x (t_k - 1) general-position matrix for
-    axis k+1; ``u_vertices`` lists the extremal set in row-major order and
-    ``u_index`` maps each of its vertices to a basis position.
+    axis k+1 and ``axis_coeffs[k]`` maps every t_k-subset of its values to
+    their dependency_coeffs; ``u_vertices`` lists the extremal set in
+    row-major order and ``u_index`` maps each of its vertices to a basis
+    position.
     """
 
     spec: GridSpec
     family: str
     axis_matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    axis_coeffs: tuple[dict[tuple[int, ...], tuple[int, ...]], ...]
     u_vertices: tuple[Vertex, ...]
     u_index: dict[Vertex, int]
 
@@ -70,14 +74,23 @@ class CertificateContext:
 
 
 def build_context(spec: GridSpec, family: str = "K") -> CertificateContext:
-    """Build and sanity-check the per-axis matrices and the basis indexing."""
+    """Build the per-axis matrices, their coefficient tables and the basis indexing.
+
+    Every (t_k - 1)-subset of an axis's rows lies in some t_k-subset, so
+    computing the coefficients of all t_k-subsets evaluates every minor of
+    the general-position property; a zero one raises CertificateError.
+    """
     check_family(family)
     matrices = tuple(build_general_position_matrix(n, t) for n, t in zip(spec.dims, spec.thick))
-    for axis, (m, t) in enumerate(zip(matrices, spec.thick), start=1):
-        if not verify_general_position(m, t):
-            raise CertificateError(f"axis {axis} matrix failed the general-position check")
+    coeffs = []
+    for axis, (m, n, t) in enumerate(zip(matrices, spec.dims, spec.thick), start=1):
+        subsets = itertools.combinations(range(1, n + 1), t)
+        try:
+            coeffs.append({vals: dependency_coeffs(m, vals) for vals in subsets})
+        except GeneralPositionError as exc:
+            raise CertificateError(f"axis {axis} matrix is not in general position: {exc}") from exc
     u = tuple(extremal_set(spec))
-    return CertificateContext(spec, family, matrices, u, {v: i for i, v in enumerate(u)})
+    return CertificateContext(spec, family, matrices, tuple(coeffs), u, {v: i for i, v in enumerate(u)})
 
 
 def project(spec: GridSpec, v: Vertex, axes, values) -> Vertex:
@@ -168,92 +181,56 @@ def edge_coefficient(edge: GridEdge, v: Vertex, ctx: CertificateContext) -> int:
     return coeff
 
 
-def _edge_dependency_failure(edge: GridEdge, ctx, lam_cache, vectors) -> str | None:
-    """Check the summed dependency of one edge: sum_v lambda_v f(v) = 0.
-
-    Each vertex's certificate_vector is weighted by its edge coefficient.
-    Returns a description when the total is nonzero, or None when the edge
-    passes.  ``lam_cache`` is keyed by (axis, values); ``vectors`` maps each
-    vertex to its certificate_vector and is filled on first use.
-    """
-    lam_axis = []
-    for axis, values in zip(edge.varying, edge.values):
-        key = (axis, values)
-        if key not in lam_cache:
-            lam_cache[key] = dependency_coeffs(ctx.axis_matrices[axis - 1], values)
-        lam_axis.append(lam_cache[key])
-    total = [0] * ctx.u_size
-    for v in edge.vertices():
-        c = 1
-        for (axis, values), lams in zip(zip(edge.varying, edge.values), lam_axis):
-            c *= lams[values.index(v[axis - 1])]
-        if v not in vectors:
-            vectors[v] = certificate_vector(v, ctx)
-        total = [a + c * x for a, x in zip(total, vectors[v])]
-    if any(total):
-        return f"nonzero dependency sum for edge {edge}"
-    return None
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """Verified certificate: context, verification flags and lower bound;
-    ``f_vectors`` (row-major by vertex id) is built on first use."""
+    """Verified certificate: its context and ``f_vectors``, the checked vector
+    table (row-major by vertex id) that outputs and audits read."""
 
     context: CertificateContext
-    verified_span: bool
-    verified_dependencies: bool
-    lower_bound: int
+    f_vectors: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    @cached_property
-    def f_vectors(self) -> tuple[tuple[int, ...], ...]:
-        spec = self.context.spec
-        return tuple(
-            tuple(certificate_vector(decode_vertex(spec, i), self.context))
-            for i in range(spec.num_vertices)
-        )
-
-    def vector_for(self, v: Vertex) -> tuple[int, ...]:
-        return self.f_vectors[encode_vertex(self.context.spec, v)]
+    @property
+    def lower_bound(self) -> int:
+        return self.context.u_size
 
 
 def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     """Build the certificate and verify it exactly.
 
+    Every vertex's certificate_vector is computed once, into the table that
+    both checks read and the certificate keeps.
     Span: each extremal vertex u has a positive entry at u and its other
     nonzero entries at extremal vertices of smaller coordinate sum, since
     every image of u lies at or below u (small coordinates stay, large ones
     drop to at most t_k - 1) and is u itself for the C(#small(u), d-r+1) >= 1
     axis sets inside small(u), all weights being nonnegative.  The |U| x |U|
     block is thus triangular with a positive diagonal, of rank |U|.
-    Dependency: for every edge, the certificate vectors of its vertices,
-    weighted by their nonzero edge coefficients, must sum to zero.  The
-    vectors are computed once per vertex; those of U are shared between the
-    span check and the edges.  The sums run over the "K" edges, which contain
-    the "P" edges, so one verification covers both families.  Any failure
-    raises CertificateError; on success the lower bound equals the
-    extremal-set size.
+    Dependency: for every edge, the vectors of its vertices, weighted by their
+    edge coefficients (products of the context's per-axis coefficients), must
+    sum to zero.  The sums run over the "K" edges, which contain the "P"
+    edges, so one verification covers both families.  Any failure raises
+    CertificateError; on success the lower bound equals the extremal-set size.
     """
     ctx = build_context(spec, family)
-    vectors: dict = {}
+    rows = {v: tuple(certificate_vector(v, ctx)) for v in vertices(spec)}  # in vertex-id order
     sums = [sum(u) for u in ctx.u_vertices]
     for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
-        vec = vectors[u] = certificate_vector(u, ctx)
+        vec = rows[u]
         if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
-    lam_cache: dict = {}
     for edge in enumerate_edges(spec, "K"):
-        failure = _edge_dependency_failure(edge, ctx, lam_cache, vectors)
-        if failure is not None:
-            raise CertificateError(failure)
+        lams = [(1,)] * spec.d
+        for axis, values in zip(edge.varying, edge.values):
+            lams[axis - 1] = ctx.axis_coeffs[axis - 1][values]
+        total = [0] * ctx.u_size
+        for v, cs in zip(edge.vertices(), itertools.product(*lams)):
+            c = math.prod(cs)
+            total = [a + c * x for a, x in zip(total, rows[v])]
+        if any(total):
+            raise CertificateError(f"nonzero dependency sum for edge {edge}")
 
-    return Certificate(
-        context=ctx,
-        verified_span=True,
-        verified_dependencies=True,
-        lower_bound=ctx.u_size,
-    )
+    return Certificate(ctx, tuple(rows.values()))
 
 
 @dataclass(frozen=True)
@@ -329,8 +306,8 @@ def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> d
         "family": ctx.family,
         "axisMatrices": [[list(row) for row in m] for m in ctx.axis_matrices],
         "lowerBound": cert.lower_bound,
-        "verifiedSpan": cert.verified_span,
-        "verifiedDependencies": cert.verified_dependencies,
+        "verifiedSpan": True,
+        "verifiedDependencies": True,
         "uSize": ctx.u_size,
     }
     if include_f_vectors:

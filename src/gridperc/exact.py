@@ -121,7 +121,9 @@ def build_general_position_matrix(n: int, t: int) -> tuple[tuple[int, ...], ...]
     Every (t-1)-subset of rows is independent: expanding along the identity
     rows reduces any such minor to a generalized Vandermonde minor with
     distinct nodes >= t and distinct exponents, which is strictly positive.
-    verify_general_position re-checks the property exhaustively.
+    Certification establishes the property by computing every t-subset's
+    nonzero dependency_coeffs; the tests re-check it with
+    verify_general_position.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")

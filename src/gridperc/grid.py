@@ -87,7 +87,11 @@ class GridSpec:
 
 
 def encode_vertex(spec: GridSpec, v: Vertex) -> int:
-    """Row-major 0-based id of a 1-based coordinate tuple."""
+    """Row-major 0-based id of a 1-based coordinate tuple.
+
+    A non-integer coordinate raises TypeError: it makes the id a non-integer,
+    so one check of the result covers every coordinate.
+    """
     if len(v) != spec.d:
         raise ValueError(f"expected {spec.d} coordinates, got {len(v)}")
     idx = 0
@@ -95,11 +99,12 @@ def encode_vertex(spec: GridSpec, v: Vertex) -> int:
         if not 1 <= x <= n:
             raise ValueError(f"coordinate {x} outside [1, {n}]")
         idx = idx * n + (x - 1)
-    return idx
+    return operator.index(idx)
 
 
 def decode_vertex(spec: GridSpec, idx: int) -> Vertex:
-    """Inverse of encode_vertex."""
+    """Inverse of encode_vertex; a non-integer id raises TypeError."""
+    idx = operator.index(idx)
     if not 0 <= idx < spec.num_vertices:
         raise ValueError(f"vertex id {idx} outside [0, {spec.num_vertices})")
     coords = []

@@ -174,8 +174,3 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def read_hypergraph(path) -> Hypergraph:
     with open(path, "r", encoding="ascii") as fh:
         return parse_hypergraph(fh.read())
-
-
-def write_hypergraph(h: Hypergraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_hypergraph(h))

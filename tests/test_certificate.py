@@ -19,6 +19,7 @@ from gridperc.certificate import (
     project,
     projection_component,
 )
+from gridperc.cli import main
 from gridperc.exact import matrix_rank
 from gridperc.grid import (
     GridSpec,
@@ -226,7 +227,6 @@ class TestCertifiedLowerBound:
     def test_small_square(self):
         cert = certified_lower_bound(SPEC_3222, "K")
         assert cert.lower_bound == 5
-        assert cert.verified_span and cert.verified_dependencies
 
     def test_cube_rank_two(self):
         cert = certified_lower_bound(GridSpec.cube(2, 3, 2, 2), "K")
@@ -257,13 +257,12 @@ class TestCertifiedLowerBound:
 
     def test_vector_lookup(self):
         cert = certified_lower_bound(SPEC_3222, "K")
-        assert cert.vector_for((1, 1))[cert.context.u_index[(1, 1)]] == 2
+        assert cert.f_vectors[encode_vertex(SPEC_3222, (1, 1))][cert.context.u_index[(1, 1)]] == 2
 
     @settings(deadline=None)
     @given(small_specs())
     def test_property_triangular_check_agrees_with_rank(self, spec):
         cert = certified_lower_bound(spec, "K")
-        assert cert.verified_span
         assert matrix_rank(cert.f_vectors) == cert.context.u_size == cert.lower_bound
 
     @pytest.mark.parametrize(
@@ -321,12 +320,38 @@ class TestCertifiedLowerBound:
             with pytest.raises(CertificateError):
                 certified_lower_bound(spec, "K")
 
-    def test_vectors_built_on_first_use(self):
-        cert = certified_lower_bound(SPEC_INHOM, "K")
-        assert "f_vectors" not in cert.__dict__
+    def test_output_is_the_verified_table(self):
+        # Certification computes every vector once; outputs and audits read
+        # that same table instead of recomputing it.
+        spy = mock.patch.object(certificate, "certificate_vector", wraps=certificate_vector)
+        with spy as counted:
+            cert = certified_lower_bound(SPEC_INHOM, "K")
+            table = cert.f_vectors
+            data = certificate_to_dict(cert, include_f_vectors=True)
+            report = audit_percolating_set(cert, extremal_set(SPEC_INHOM))
+        assert counted.call_count == SPEC_INHOM.num_vertices
+        assert report.ok
         rows = [tuple(certificate_vector(v, cert.context)) for v in vertices(SPEC_INHOM)]
-        assert list(cert.f_vectors) == rows
-        assert cert.__dict__["f_vectors"] is cert.f_vectors
+        assert list(table) == rows
+        assert data["fVectors"] == [[str(x) for x in row] for row in rows]
+
+    def test_degenerate_matrix_is_rejected(self, monkeypatch, capsys):
+        # Two equal power rows on the t = 3 axis make some minors zero.
+        original = certificate.build_general_position_matrix
+
+        def degenerate(n, t):
+            rows = list(original(n, t))
+            if t == 3:
+                rows[-1] = rows[-2]
+            return tuple(rows)
+
+        monkeypatch.setattr(certificate, "build_general_position_matrix", degenerate)
+        with pytest.raises(CertificateError, match="axis 2"):
+            certified_lower_bound(SPEC_INHOM, "K")
+        assert main(["certify", "--n", "3,4", "--t", "2,3", "--r", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: axis 2 matrix")
 
 
 class TestAudit:

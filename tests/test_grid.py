@@ -137,6 +137,15 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode_vertex(spec, -1)
 
+    def test_non_integer_rejected(self):
+        spec = GridSpec((3, 3), (2, 2), 2)
+        with pytest.raises(TypeError):
+            decode_vertex(spec, 1.5)
+        with pytest.raises(TypeError):
+            encode_vertex(spec, (1.5, 2))
+        with pytest.raises(TypeError):
+            encode_vertex(spec, (2.0, 2))
+
 
 class TestEdges:
     def test_counts_match_oracle(self):
