@@ -2,7 +2,8 @@
 
 Library layout:
 
-* ``grid`` -- grid specs, the row-major vertex codec, edge enumeration for the
+* ``grid`` -- grid specs, the row-major vertex codec (the only module that
+  knows the id layout, including each edge's ids), edge enumeration for the
   "K"/"P" families, and the extremal set with its closed-form size,
 * ``percolation`` -- generic hypergraph bootstrap closure with traces, plus
   hypergraph builders and the text format,
@@ -44,6 +45,7 @@ from .grid import (
     GridSpec,
     count_edges,
     decode_vertex,
+    edge_vertex_ids,
     encode_vertex,
     enumerate_edges,
     extremal_set,
@@ -105,6 +107,7 @@ __all__ = [
     "dependency_coeffs",
     "det",
     "edge_coefficient",
+    "edge_vertex_ids",
     "encode_vertex",
     "enumerate_edges",
     "extremal_set",

@@ -266,17 +266,26 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     defaults to the certificate's.  The closure runs on that family's
     hypergraph; if it percolates, the trace is walked in order, asserting that
     no step's vector enlarges the span of what came before.
+
+    The seed vectors enter the basis extremal vertices first, then the others,
+    ids ascending within each group.  The extremal vectors form the triangular
+    block that certified_lower_bound verified, so each of them grows the span,
+    and a seed set holding the extremal set is at full rank after u_size
+    inserts; every later insert then returns at once.  Rank does not depend
+    on insertion order and the trace steps still follow all seeds, so the
+    report is the same as for any other seed order.
     """
     ctx = cert.context
     spec = ctx.spec
     fam = check_family(family) if family is not None else ctx.family
-    ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
+    seeds = {encode_vertex(spec, v): v for v in map(tuple, initial)}
+    ids = sorted(seeds)
 
     result = closure(grid_hypergraph(spec, fam), ids)
     percolated = len(result.final) == spec.num_vertices
 
     basis = EliminationBasis(ctx.u_size)
-    for a in ids:
+    for a in sorted(ids, key=lambda a: seeds[a] not in ctx.u_index):
         basis.insert(cert.f_vectors[a])
     seed_rank = basis.rank
 

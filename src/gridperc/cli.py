@@ -33,6 +33,7 @@ from .grid import (
     GridSpec,
     count_edges,
     decode_vertex,
+    edge_vertex_ids,
     encode_vertex,
     enumerate_edges,
     extremal_set,
@@ -114,10 +115,7 @@ def _cmd_edges(args):
     payload = {"family": args.family, "count": count}
     table = [["count"], [count]]
     if args.list:
-        edges = [
-            (edge, [encode_vertex(spec, v) for v in edge.vertices()])
-            for edge in enumerate_edges(spec, args.family)
-        ]
+        edges = list(zip(enumerate_edges(spec, args.family), edge_vertex_ids(spec, args.family)))
         payload["edges"] = [
             {
                 "varying": list(edge.varying),

@@ -119,6 +119,33 @@ def vertices(spec: GridSpec):
     return itertools.product(*(range(1, n + 1) for n in spec.dims))
 
 
+def edge_vertex_ids(spec: GridSpec, family: str):
+    """Yield each edge's vertex ids as a sorted tuple, in enumerate_edges order.
+
+    Computed from the codec's row-major strides: for each varying-axis set
+    and choice of value sets, the ids relative to the fixed axes' base id are
+    formed once and then shifted by every base.  A row-major product of
+    increasing per-axis values gives increasing ids, so no sort is needed.
+    """
+    check_family(family)
+    strides = [math.prod(spec.dims[k + 1:]) for k in range(spec.d)]
+    axes = range(spec.d)
+    for varying in itertools.combinations(axes, spec.r):
+        value_choices = [
+            [[(x - 1) * strides[k] for x in vals]
+             for vals in _axis_value_sets(spec.dims[k], spec.thick[k], family)]
+            for k in varying
+        ]
+        fixed_steps = [
+            [x * strides[k] for x in range(spec.dims[k])] for k in axes if k not in varying
+        ]
+        bases = [sum(steps) for steps in itertools.product(*fixed_steps)]
+        for values in itertools.product(*value_choices):
+            offsets = [sum(steps) for steps in itertools.product(*values)]
+            for base in bases:
+                yield tuple([base + o for o in offsets])
+
+
 @dataclass(frozen=True)
 class GridEdge:
     """One hyperedge: value sets on the varying axes, single values elsewhere.

@@ -13,7 +13,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import GridSpec, encode_vertex, enumerate_edges
+from .grid import GridSpec, edge_vertex_ids
 
 
 class Hypergraph:
@@ -118,12 +118,11 @@ def percolates(h: Hypergraph, initial) -> bool:
 def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
     """Materialize a grid family as an explicit hypergraph.
 
-    Edge order matches enumerate_edges; vertex ids follow the row-major codec.
+    Edge order matches enumerate_edges; the vertex ids come from the grid
+    codec's row-major strides (edge_vertex_ids), so only the grid module knows
+    the id layout.
     """
-    edges = [
-        [encode_vertex(spec, v) for v in edge.vertices()] for edge in enumerate_edges(spec, family)
-    ]
-    return Hypergraph(spec.num_vertices, edges)
+    return Hypergraph(spec.num_vertices, edge_vertex_ids(spec, family))
 
 
 def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from collections import defaultdict
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridperc import certificate
 from gridperc.certificate import (
+    AuditReport,
     CertificateError,
     audit_percolating_set,
     build_context,
@@ -20,8 +22,9 @@ from gridperc.certificate import (
     projection_component,
 )
 from gridperc.cli import main
-from gridperc.exact import matrix_rank
+from gridperc.exact import EliminationBasis, matrix_rank
 from gridperc.grid import (
+    FAMILIES,
     GridSpec,
     decode_vertex,
     encode_vertex,
@@ -30,6 +33,7 @@ from gridperc.grid import (
     extremal_size,
     vertices,
 )
+from gridperc.percolation import Hypergraph, closure
 
 SPEC_3222 = GridSpec.cube(3, 2, 2, 2)
 SPEC_3232 = GridSpec.cube(3, 2, 3, 2)
@@ -52,6 +56,53 @@ def vector_damage(draw):
     v = decode_vertex(spec, draw(st.integers(0, spec.num_vertices - 1)))
     position = draw(st.integers(0, extremal_size(spec) - 1))
     return spec, v, position, draw(st.integers().filter(bool))
+
+
+@st.composite
+def audit_cases(draw):
+    """A small spec, a family and a seed set: a subset or a superset of the
+    extremal set, or a random set."""
+    spec = draw(small_specs())
+    u = extremal_set(spec)
+    everything = list(vertices(spec))
+    kind = draw(st.sampled_from(["subset", "superset", "random"]))
+    if kind == "subset":
+        seeds = draw(st.lists(st.sampled_from(u), unique=True))
+    elif kind == "superset":
+        outside = [v for v in everything if v not in set(u)]
+        seeds = u + draw(st.lists(st.sampled_from(outside), unique=True)) if outside else u
+    else:
+        seeds = draw(st.lists(st.sampled_from(everything), unique=True))
+    return spec, draw(st.sampled_from(FAMILIES)), draw(st.permutations(seeds))
+
+
+def reference_audit(cert, initial, family=None):
+    """Audit with the seed vectors inserted in id order, on a hypergraph built
+    through enumerate_edges and the codec."""
+    ctx = cert.context
+    spec = ctx.spec
+    edges = [
+        [encode_vertex(spec, v) for v in e.vertices()]
+        for e in enumerate_edges(spec, family or ctx.family)
+    ]
+    ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
+    result = closure(Hypergraph(spec.num_vertices, edges), ids)
+    percolated = len(result.final) == spec.num_vertices
+    basis = EliminationBasis(ctx.u_size)
+    for a in ids:
+        basis.insert(cert.f_vectors[a])
+    seed_rank = basis.rank
+    steps = tuple(not basis.insert(cert.f_vectors[v]) for v, _ in result.trace) if percolated else ()
+    return AuditReport(percolated, len(ids), seed_rank, ctx.u_size, steps)
+
+
+def damaged_certificate(cert):
+    """The certificate with the row of its last extremal vertex in id order
+    replaced by a copy of the first one's row."""
+    ctx = cert.context
+    rows = list(cert.f_vectors)
+    rows[encode_vertex(ctx.spec, ctx.u_vertices[-1])] = rows[encode_vertex(ctx.spec, ctx.u_vertices[0])]
+    return dataclasses.replace(cert, f_vectors=tuple(rows))
 
 
 def basis_vector(ctx, v, scale=1):
@@ -394,6 +445,51 @@ class TestAudit:
         assert report.percolated
         assert report.seed_rank == cert.lower_bound == 4
         assert report.ok
+
+    @settings(deadline=None, max_examples=60)
+    @given(audit_cases())
+    def test_property_seed_order_changes_no_report(self, case):
+        spec, family, seeds = case
+        cert = certified_lower_bound(spec, "K")
+        assert audit_percolating_set(cert, seeds, family) == reference_audit(cert, seeds, family)
+        damaged = damaged_certificate(cert)
+        assert audit_percolating_set(damaged, seeds, family) == reference_audit(damaged, seeds, family)
+
+    @pytest.mark.parametrize("spec", [SPEC_3222, SPEC_3232, SPEC_INHOM, GridSpec.cube(3, 3, 2, 2)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_damaged_certificate_still_fails(self, spec, family):
+        # The damaged table loses rank on the extremal set, and some trace
+        # step puts the missing direction back; inserting the extremal seeds
+        # first must not hide that step.
+        damaged = damaged_certificate(certified_lower_bound(spec, "K"))
+        u = extremal_set(spec)
+        report = audit_percolating_set(damaged, u, family)
+        assert report == reference_audit(damaged, u, family)
+        assert report.percolated
+        assert report.seed_rank == damaged.lower_bound - 1
+        assert not report.all_steps_in_span
+        assert not report.ok
+
+    @pytest.mark.parametrize("spec", [SPEC_3222, SPEC_INHOM, GridSpec.cube(3, 3, 2, 2)])
+    def test_superset_fills_the_basis_with_the_extremal_set(self, spec):
+        # Each extremal vector grows the span, so a superset of the extremal
+        # set reaches full rank after exactly u_size inserts; every later
+        # insert finds the basis full.
+        cert = certified_lower_bound(spec, "K")
+        below_full = []
+        original = EliminationBasis._reduce
+
+        def counting(self, vector):
+            below_full.append(self.rank < self.ncols)
+            return original(self, vector)
+
+        for seeds in (list(vertices(spec)), extremal_set(spec) + [max(vertices(spec))]):
+            below_full.clear()
+            with mock.patch.object(EliminationBasis, "_reduce", counting):
+                report = audit_percolating_set(cert, seeds)
+            assert report.ok
+            assert sum(below_full) == cert.lower_bound
+            assert len(below_full) > cert.lower_bound
 
 
 class TestSerialization:
