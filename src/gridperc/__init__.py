@@ -3,8 +3,9 @@
 Library layout:
 
 * ``grid`` -- grid specs, the row-major vertex codec (the only module that
-  knows the id layout, including each edge's ids), edge enumeration for the
-  "K"/"P" families, and the extremal set with its closed-form size,
+  knows the id layout), the one edge walk of the "K"/"P" families, yielding
+  each edge's value sets and vertex ids as a plain tuple, and the extremal
+  set with its closed-form size,
 * ``percolation`` -- generic hypergraph bootstrap closure with traces, plus
   hypergraph builders and the text format,
 * ``exact`` -- integer-only linear algebra: general-position matrices,
@@ -41,11 +42,9 @@ from .exact import (
 )
 from .grid import (
     FAMILIES,
-    GridEdge,
     GridSpec,
     count_edges,
     decode_vertex,
-    edge_vertex_ids,
     encode_vertex,
     enumerate_edges,
     extremal_set,
@@ -90,7 +89,6 @@ __all__ = [
     "FAMILIES",
     "GeneralPositionError",
     "Graph",
-    "GridEdge",
     "GridSpec",
     "Hypergraph",
     "SearchBudgetExceeded",
@@ -107,7 +105,6 @@ __all__ = [
     "dependency_coeffs",
     "det",
     "edge_coefficient",
-    "edge_vertex_ids",
     "encode_vertex",
     "enumerate_edges",
     "extremal_set",

@@ -11,7 +11,9 @@ is checked, output and replayed by audits.  Verified properties:
 * dependency: for every edge, the vectors of its vertices, weighted by their
   edge coefficients (products of per-axis cofactor coefficients, nonzero
   because the matrices are in general position, which computing them checks),
-  sum to zero.
+  sum to zero.  The edge loop reads each edge's value sets and vertex ids
+  from the one grid edge walk and looks the vectors up in the id-ordered
+  table by id.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -33,7 +35,6 @@ from .exact import (
     dependency_coeffs,
 )
 from .grid import (
-    GridEdge,
     GridSpec,
     Vertex,
     check_family,
@@ -165,19 +166,20 @@ def certificate_vector(v: Vertex, ctx: CertificateContext) -> list[int]:
     return vec
 
 
-def edge_coefficient(edge: GridEdge, v: Vertex, ctx: CertificateContext) -> int:
-    """Dependency coefficient of vertex v within the given edge.
+def edge_coefficient(edge, v: Vertex, ctx: CertificateContext) -> int:
+    """Dependency coefficient of vertex v within an edge of enumerate_edges.
 
     Product over the edge's varying axes of the cofactor dependency
     coefficient for that axis's value set, evaluated at v's value.  Nonzero
     for every vertex of the edge.
     """
-    if v not in edge:
+    varying, values, _fixed, ids = edge
+    if encode_vertex(ctx.spec, v) not in ids:
         raise ValueError(f"vertex {v} is not in the edge")
     coeff = 1
-    for axis, values in zip(edge.varying, edge.values):
-        lams = dependency_coeffs(ctx.axis_matrices[axis - 1], values)
-        coeff *= lams[values.index(v[axis - 1])]
+    for axis, vals in zip(varying, values):
+        lams = dependency_coeffs(ctx.axis_matrices[axis - 1], vals)
+        coeff *= lams[vals.index(v[axis - 1])]
     return coeff
 
 
@@ -207,30 +209,30 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     block is thus triangular with a positive diagonal, of rank |U|.
     Dependency: for every edge, the vectors of its vertices, weighted by their
     edge coefficients (products of the context's per-axis coefficients), must
-    sum to zero.  The sums run over the "K" edges, which contain the "P"
-    edges, so one verification covers both families.  Any failure raises
-    CertificateError; on success the lower bound equals the extremal-set size.
+    sum to zero.  An edge's ids are in row-major order, which is the order of
+    the product of its value sets' coefficients.  The sums run over the "K"
+    edges, which contain the "P" edges, so one verification covers both
+    families.  Any failure raises CertificateError; on success the lower
+    bound equals the extremal-set size.
     """
     ctx = build_context(spec, family)
-    rows = {v: tuple(certificate_vector(v, ctx)) for v in vertices(spec)}  # in vertex-id order
+    rows = [tuple(certificate_vector(v, ctx)) for v in vertices(spec)]  # in vertex-id order
     sums = [sum(u) for u in ctx.u_vertices]
     for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
-        vec = rows[u]
+        vec = rows[encode_vertex(spec, u)]
         if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
-    for edge in enumerate_edges(spec, "K"):
-        lams = [(1,)] * spec.d
-        for axis, values in zip(edge.varying, edge.values):
-            lams[axis - 1] = ctx.axis_coeffs[axis - 1][values]
+    for varying, values, fixed, ids in enumerate_edges(spec, "K"):
+        lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
         total = [0] * ctx.u_size
-        for v, cs in zip(edge.vertices(), itertools.product(*lams)):
+        for i, cs in zip(ids, itertools.product(*lams)):
             c = math.prod(cs)
-            total = [a + c * x for a, x in zip(total, rows[v])]
+            total = [a + c * x for a, x in zip(total, rows[i])]
         if any(total):
-            raise CertificateError(f"nonzero dependency sum for edge {edge}")
+            raise CertificateError(f"nonzero dependency sum for edge {(varying, values, fixed)}")
 
-    return Certificate(ctx, tuple(rows.values()))
+    return Certificate(ctx, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .grid import (
     GridSpec,
     count_edges,
     decode_vertex,
-    edge_vertex_ids,
     encode_vertex,
     enumerate_edges,
     extremal_set,
@@ -115,17 +114,17 @@ def _cmd_edges(args):
     payload = {"family": args.family, "count": count}
     table = [["count"], [count]]
     if args.list:
-        edges = list(zip(enumerate_edges(spec, args.family), edge_vertex_ids(spec, args.family)))
+        edges = list(enumerate_edges(spec, args.family))
         payload["edges"] = [
             {
-                "varying": list(edge.varying),
-                "values": [list(vals) for vals in edge.values],
-                "fixed": list(edge.fixed),
+                "varying": list(varying),
+                "values": [list(vals) for vals in values],
+                "fixed": list(fixed),
                 "vertices": ids,
             }
-            for edge, ids in edges
+            for varying, values, fixed, ids in edges
         ]
-        table = [["index", "vertices"]] + [[i, " ".join(map(str, ids))] for i, (_, ids) in enumerate(edges)]
+        table = [["index", "vertices"]] + [[i, " ".join(map(str, edge[3]))] for i, edge in enumerate(edges)]
     return payload, table, 0
 
 

@@ -78,9 +78,6 @@ class GridSpec:
     def num_vertices(self) -> int:
         return math.prod(self.dims)
 
-    def homogeneous(self) -> bool:
-        return len(set(self.dims)) == 1 and len(set(self.thick)) == 1
-
     def large_count(self, v: Vertex) -> int:
         """Number of coordinates of v at or above their axis thickness."""
         return sum(1 for x, t in zip(v, self.thick) if x >= t)
@@ -119,93 +116,9 @@ def vertices(spec: GridSpec):
     return itertools.product(*(range(1, n + 1) for n in spec.dims))
 
 
-def edge_vertex_ids(spec: GridSpec, family: str):
-    """Yield each edge's vertex ids as a sorted tuple, in enumerate_edges order.
-
-    Computed from the codec's row-major strides: for each varying-axis set
-    and choice of value sets, the ids relative to the fixed axes' base id are
-    formed once and then shifted by every base.  A row-major product of
-    increasing per-axis values gives increasing ids, so no sort is needed.
-    """
-    check_family(family)
-    strides = [math.prod(spec.dims[k + 1:]) for k in range(spec.d)]
-    axes = range(spec.d)
-    for varying in itertools.combinations(axes, spec.r):
-        value_choices = [
-            [[(x - 1) * strides[k] for x in vals]
-             for vals in _axis_value_sets(spec.dims[k], spec.thick[k], family)]
-            for k in varying
-        ]
-        fixed_steps = [
-            [x * strides[k] for x in range(spec.dims[k])] for k in axes if k not in varying
-        ]
-        bases = [sum(steps) for steps in itertools.product(*fixed_steps)]
-        for values in itertools.product(*value_choices):
-            offsets = [sum(steps) for steps in itertools.product(*values)]
-            for base in bases:
-                yield tuple([base + o for o in offsets])
-
-
-@dataclass(frozen=True)
-class GridEdge:
-    """One hyperedge: value sets on the varying axes, single values elsewhere.
-
-    ``varying`` holds the 1-based axes that vary (strictly increasing),
-    ``values[i]`` the sorted value set taken along axis ``varying[i]``, and
-    ``fixed`` the values of the remaining axes in increasing axis order.
-    """
-
-    varying: tuple[int, ...]
-    values: tuple[tuple[int, ...], ...]
-    fixed: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        varying = tuple(map(operator.index, self.varying))
-        values = tuple(tuple(map(operator.index, vals)) for vals in self.values)
-        fixed = tuple(map(operator.index, self.fixed))
-        object.__setattr__(self, "varying", varying)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fixed", fixed)
-        if list(varying) != sorted(set(varying)) or (varying and varying[0] < 1):
-            raise ValueError("varying axes must be strictly increasing 1-based indices")
-        if len(values) != len(varying):
-            raise ValueError("one value set per varying axis required")
-        if varying and varying[-1] > len(varying) + len(fixed):
-            raise ValueError(f"varying axis {varying[-1]} beyond dimension {len(varying) + len(fixed)}")
-        for vals in values:
-            if len(vals) < 2 or list(vals) != sorted(set(vals)) or vals[0] < 1:
-                raise ValueError(f"value set {vals} must be strictly increasing with >= 2 entries")
-        if any(x < 1 for x in fixed):
-            raise ValueError("fixed values must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.varying) + len(self.fixed)
-
-    def axis_values(self) -> tuple[tuple[int, ...], ...]:
-        """Candidate values per axis, singletons on the non-varying axes."""
-        out = []
-        vi = fi = 0
-        for k in range(1, self.d + 1):
-            if vi < len(self.varying) and self.varying[vi] == k:
-                out.append(self.values[vi])
-                vi += 1
-            else:
-                out.append((self.fixed[fi],))
-                fi += 1
-        return tuple(out)
-
-    def vertices(self):
-        """Expand to vertex tuples, row-major within the edge."""
-        return itertools.product(*self.axis_values())
-
-    def num_vertices(self) -> int:
-        return math.prod(len(vals) for vals in self.values)
-
-    def __contains__(self, v: Vertex) -> bool:
-        if len(v) != self.d:
-            return False
-        return all(x in vals for x, vals in zip(v, self.axis_values()))
+def row_major_strides(dims) -> list[int]:
+    """Id step of one unit along each axis under the row-major codec."""
+    return [math.prod(dims[k + 1:]) for k in range(len(dims))]
 
 
 def _axis_value_sets(n: int, t: int, family: str):
@@ -217,23 +130,38 @@ def _axis_value_sets(n: int, t: int, family: str):
 
 
 def enumerate_edges(spec: GridSpec, family: str):
-    """Yield every edge of the family exactly once.
+    """Yield every edge of the family exactly once as ``(varying, values, fixed, ids)``.
 
-    Order is fixed so downstream outputs are byte-reproducible: varying axis
-    sets lexicographic, then value sets lexicographic, then fixed values
-    row-major.
+    ``varying`` holds the 1-based varying axes, ``values[i]`` the value set
+    taken along axis ``varying[i]``, ``fixed`` the values of the other axes in
+    axis order, and ``ids`` the edge's vertex ids under the codec.  Order is
+    fixed so downstream outputs are byte-reproducible: varying axis sets
+    lexicographic, then value sets lexicographic, then fixed values row-major.
+
+    The ids come from the codec's row-major strides: each value set's id
+    steps are formed once per varying-axis set, the offsets of a choice of
+    value sets once per choice, and each edge shifts them by its fixed axes'
+    base id.  A row-major product of increasing per-axis values gives
+    increasing ids, so ``ids`` is sorted, which is also row-major order
+    within the edge.
     """
     check_family(family)
+    strides = row_major_strides(spec.dims)
     axes = range(1, spec.d + 1)
     for varying in itertools.combinations(axes, spec.r):
-        fixed_axes = [k for k in axes if k not in varying]
-        value_choices = [
-            list(_axis_value_sets(spec.dims[k - 1], spec.thick[k - 1], family)) for k in varying
+        value_sets = [list(_axis_value_sets(spec.dims[k - 1], spec.thick[k - 1], family)) for k in varying]
+        step_sets = [
+            [[(x - 1) * strides[k - 1] for x in vals] for vals in sets]
+            for k, sets in zip(varying, value_sets)
         ]
-        fixed_choices = [range(1, spec.dims[k - 1] + 1) for k in fixed_axes]
-        for values in itertools.product(*value_choices):
-            for fixed in itertools.product(*fixed_choices):
-                yield GridEdge(varying, values, fixed)
+        fixed_axes = [k for k in axes if k not in varying]
+        fixed_values = [range(1, spec.dims[k - 1] + 1) for k in fixed_axes]
+        fixed_steps = [[x * strides[k - 1] for x in range(spec.dims[k - 1])] for k in fixed_axes]
+        fixed_bases = list(zip(itertools.product(*fixed_values), map(sum, itertools.product(*fixed_steps))))
+        for values, steps in zip(itertools.product(*value_sets), itertools.product(*step_sets)):
+            offsets = list(map(sum, itertools.product(*steps)))
+            for fixed, base in fixed_bases:
+                yield varying, values, fixed, tuple([base + o for o in offsets])
 
 
 def count_edges(spec: GridSpec, family: str) -> int:

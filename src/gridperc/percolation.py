@@ -13,7 +13,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import GridSpec, edge_vertex_ids
+from .grid import GridSpec, enumerate_edges
 
 
 class Hypergraph:
@@ -118,11 +118,11 @@ def percolates(h: Hypergraph, initial) -> bool:
 def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
     """Materialize a grid family as an explicit hypergraph.
 
-    Edge order matches enumerate_edges; the vertex ids come from the grid
-    codec's row-major strides (edge_vertex_ids), so only the grid module knows
-    the id layout.
+    Edges and their order are those of enumerate_edges, whose ids come from
+    the grid codec's row-major strides, so only the grid module knows the id
+    layout.
     """
-    return Hypergraph(spec.num_vertices, edge_vertex_ids(spec, family))
+    return Hypergraph(spec.num_vertices, (edge[3] for edge in enumerate_edges(spec, family)))
 
 
 def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:

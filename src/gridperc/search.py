@@ -31,6 +31,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from .grid import row_major_strides
 from .percolation import Hypergraph, closure
 
 DEFAULT_BUDGET = 10_000_000
@@ -222,25 +223,21 @@ class Graph:
 def grid_graph(dims) -> Graph:
     """Axis-aligned grid graph on [n_1] x ... x [n_d].
 
-    Vertices are row-major ids of the 1-based coordinate tuples; two vertices
+    Vertices are row-major ids of the 1-based coordinate tuples, from the
+    grid codec's strides (axes of length 1 are allowed here); two vertices
     are adjacent iff their tuples differ by exactly 1 in one axis.
     """
     dims = tuple(operator.index(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"axis lengths must be >= 1, got {dims}")
-    strides = [1] * len(dims)
-    for k in range(len(dims) - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
+    strides = row_major_strides(dims)
     edges = []
     for coords in itertools.product(*(range(1, n + 1) for n in dims)):
         vid = sum((x - 1) * s for x, s in zip(coords, strides))
-        for k, n in enumerate(dims):
-            if coords[k] < n:
-                edges.append((vid, vid + strides[k]))
-    total = 1
-    for n in dims:
-        total *= n
-    return Graph(total, edges)
+        for x, n, s in zip(coords, dims, strides):
+            if x < n:
+                edges.append((vid, vid + s))
+    return Graph(math.prod(dims), edges)
 
 
 def hypercube_graph(d: int) -> Graph:

@@ -126,7 +126,7 @@ def check_criterion_4():
             return component_cache[key]
 
         for edge in enumerate_edges(spec, "K"):
-            verts = list(edge.vertices())
+            verts = [decode_vertex(spec, i) for i in edge[3]]
             lams = [edge_coefficient(edge, v, ctx) for v in verts]
             assert all(lams)  # (a)
             for axes in axis_sets:  # (b)

@@ -76,15 +76,18 @@ def audit_cases(draw):
     return spec, draw(st.sampled_from(FAMILIES)), draw(st.permutations(seeds))
 
 
+def edge_vertices(spec, edge):
+    """The vertex tuples of an enumerated edge, decoded from its ids."""
+    return [decode_vertex(spec, i) for i in edge[3]]
+
+
 def reference_audit(cert, initial, family=None):
     """Audit with the seed vectors inserted in id order, on a hypergraph built
-    through enumerate_edges and the codec."""
+    from the enumerated edges' ids (which the grid tests check against the
+    codec)."""
     ctx = cert.context
     spec = ctx.spec
-    edges = [
-        [encode_vertex(spec, v) for v in e.vertices()]
-        for e in enumerate_edges(spec, family or ctx.family)
-    ]
+    edges = [e[3] for e in enumerate_edges(spec, family or ctx.family)]
     ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
     result = closure(Hypergraph(spec.num_vertices, edges), ids)
     percolated = len(result.final) == spec.num_vertices
@@ -202,7 +205,7 @@ class TestCertificateVector:
 class TestEdgeCoefficient:
     def test_unit_square_coefficients(self):
         ctx = build_context(SPEC_3222)
-        edges = [e for e in enumerate_edges(SPEC_3222, "K") if e.values == ((2, 3), (1, 2))]
+        edges = [e for e in enumerate_edges(SPEC_3222, "K") if e[1] == ((2, 3), (1, 2))]
         assert len(edges) == 1
         edge = edges[0]
         assert edge_coefficient(edge, (2, 1), ctx) == 1
@@ -211,18 +214,19 @@ class TestEdgeCoefficient:
     def test_thickness_two_signs_alternate(self):
         ctx = build_context(SPEC_3222)
         for edge in enumerate_edges(SPEC_3222, "K"):
-            for v in edge.vertices():
+            varying, values, _, _ = edge
+            for v in edge_vertices(SPEC_3222, edge):
                 lam = edge_coefficient(edge, v, ctx)
                 assert lam in (-1, 1)
                 # sign alternates with the positions of the coordinates
-                pos = sum(vals.index(v[axis - 1]) for axis, vals in zip(edge.varying, edge.values))
-                assert lam == (-1) ** (len(edge.varying) + pos)
+                pos = sum(vals.index(v[axis - 1]) for axis, vals in zip(varying, values))
+                assert lam == (-1) ** (len(varying) + pos)
 
     def test_nonzero_everywhere(self):
         for spec in (SPEC_3232, SPEC_INHOM):
             ctx = build_context(spec)
             for edge in enumerate_edges(spec, "K"):
-                for v in edge.vertices():
+                for v in edge_vertices(spec, edge):
                     assert edge_coefficient(edge, v, ctx) != 0
 
     def test_vertex_outside_edge(self):
@@ -238,7 +242,7 @@ class TestDependencySums:
         ctx = build_context(spec)
         p = spec.d - spec.r + 1
         for edge in enumerate_edges(spec, "K"):
-            verts = list(edge.vertices())
+            verts = edge_vertices(spec, edge)
             lam = [edge_coefficient(edge, v, ctx) for v in verts]
             for axes in itertools.combinations(range(1, spec.d + 1), p):
                 total = [0] * ctx.u_size
@@ -254,16 +258,16 @@ class TestDependencySums:
             ctx = build_context(spec)
             p = spec.d - spec.r + 1
             for edge in enumerate_edges(spec, "K"):
-                verts = list(edge.vertices())
+                verts = edge_vertices(spec, edge)
                 for axes in itertools.combinations(range(1, spec.d + 1), p):
-                    shared = [k for k in axes if k in edge.varying]
+                    shared = [k for k in axes if k in edge[0]]
                     assert shared  # p + r > d forces an overlap
                     for k in shared:
                         lines = defaultdict(list)
                         for v in verts:
                             key = tuple(x for i, x in enumerate(v, start=1) if i != k)
                             lines[key].append(v)
-                        expected_lines = edge.num_vertices() // spec.thick[k - 1]
+                        expected_lines = len(verts) // spec.thick[k - 1]
                         assert len(lines) == expected_lines
                         for line in lines.values():
                             total = [0] * ctx.u_size

