@@ -5,8 +5,12 @@ type raises TypeError, and nothing is ever rounded.  Every elimination runs
 through one fraction-free integer kernel, EliminationBasis: an incremental
 Bareiss echelon in which every intermediate value is a minor of the input
 rows, so all divisions are exact integer divisions and growth is bounded by
-the minors themselves.  matrix_rank and det insert their rows into a basis and
-read the rank and the last pivot off it.
+the minors themselves.  A reduction step whose multiplier is zero only
+rescales, so the kernel defers that rescale to the next step that has a
+nonzero multiplier, or to the end; the stored rows, and with them exactness
+and the growth bound, are those of the plain step-by-step elimination.
+matrix_rank and det insert their rows into a basis and read the rank and the
+last pivot off it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ class EliminationBasis:
     zero.  insert() keeps a nonzero remainder as a new row pivoted at its
     first nonzero entry and reports whether the span grew; inserting a vector
     already in the span leaves the state unchanged.
+
+    When v[c_k] == 0 the step only multiplies v by p_k / p_{k-1}.  _reduce
+    skips such steps: it keeps the pivot ``held`` of the last step it carried
+    out and the current ``prev``, so that the true intermediate vector is
+    v * prev // held, and folds that factor into the next step with a nonzero
+    multiplier, (p_k*v - v[c_k]*row_k) // held, or applies it at the end.
+    Each intermediate vector of the plain elimination is an integer vector, so
+    these divisions are exact too, and the stored rows and pivots are
+    identical to those of the step-by-step elimination.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -56,18 +69,26 @@ class EliminationBasis:
         return len(self._rows)
 
     def _reduce(self, vector) -> list[int]:
+        """Remainder of ``vector`` against the stored rows.
+
+        At full rank every remainder is zero and comes back as the empty list.
+        """
         v = list(vector)
         if not all(isinstance(x, int) for x in v):
             raise TypeError(f"entries must be int, got {vector!r}")
         if len(v) != self.ncols:
             raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
         if self.rank == self.ncols:
-            return [0] * self.ncols
-        prev = 1
+            return []
+        held = prev = 1
         for col, row in zip(self._pivot_cols, self._rows):
             pivot, c = row[col], v[col]
-            v = [(pivot * x - c * y) // prev for x, y in zip(v, row)]
+            if c:
+                v = [(pivot * x - c * y) // held for x, y in zip(v, row)]
+                held = pivot
             prev = pivot
+        if prev != held:
+            v = [x * prev // held for x in v]
         return v
 
     def insert(self, vector) -> bool:

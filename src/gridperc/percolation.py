@@ -69,8 +69,10 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
 
     Counter-based: each edge keeps its number of uninfected vertices and is
     examined once per infected member, so the total work is linear in the sum
-    of edge sizes.  Witness edges are chosen by the deterministic processing
-    order (ascending edge index per newly infected vertex).
+    of edge sizes.  The counts start at the edge sizes and lose one along the
+    incidences of each distinct initial vertex.  Witness edges are chosen by
+    the deterministic processing order (ascending edge index per newly
+    infected vertex).
     """
     infected = bytearray(h.num_vertices)
     init = []
@@ -82,7 +84,10 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
             infected[v] = 1
             init.append(v)
 
-    remaining = [sum(1 for v in e if not infected[v]) for e in h.edges]
+    remaining = [len(e) for e in h.edges]
+    for v in init:
+        for e_idx in h.incident[v]:
+            remaining[e_idx] -= 1
     trace: list[tuple[int, int]] = []
     queue: deque[int] = deque()
 

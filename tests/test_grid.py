@@ -185,7 +185,6 @@ class TestEdges:
         for e in enumerate_edges(spec, "P"):
             assert e[3] in k_sets
 
-    @settings(deadline=None)
     @given(grid_specs())
     def test_property_count_and_subfamily(self, spec):
         k_edges = [frozenset(edge_vertices(spec, e)) for e in enumerate_edges(spec, "K")]
@@ -216,7 +215,7 @@ class TestEdges:
         with pytest.raises(ValueError):
             next(enumerate_edges(GridSpec.cube(3, 2, 2, 2), "Q"))
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(grid_specs(max_d=4, max_n=5), st.sampled_from(FAMILIES))
     def test_property_ids_match_codec(self, spec, family):
         # The codec applied to the product of each edge's labelled axis values

@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gridperc import grid
@@ -23,6 +23,7 @@ from gridperc.percolation import (
     weak_saturation_hypergraph,
 )
 from gridperc.search import min_percolating_exact
+from oracles import reference_closure
 
 
 def replay_trace(h, result):
@@ -153,14 +154,18 @@ class TestClosure:
             assert res.final == expected
             replay_trace(shuffled, res)
 
-    @settings(deadline=None)
     @given(hypergraphs(), st.data())
     def test_property_initial_order_invariant(self, h, data):
         initial = data.draw(st.lists(st.integers(0, h.num_vertices - 1), unique=True))
         shuffled = data.draw(st.permutations(initial))
         assert closure(h, shuffled).final == closure(h, initial).final
 
-    @settings(deadline=None)
+    @given(hypergraphs(), st.data())
+    def test_property_matches_scanning_reference(self, h, data):
+        # repeated, unordered ids; hypergraphs() draws size-1 edges too
+        initial = data.draw(st.lists(st.integers(0, h.num_vertices - 1)))
+        assert closure(h, initial) == reference_closure(h, initial)
+
     @given(hypergraphs(), st.data())
     def test_property_monotone_and_idempotent(self, h, data):
         vertex_sets = st.frozensets(st.integers(0, h.num_vertices - 1))
@@ -219,7 +224,6 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_hypergraph("p 3 1\n0 7\n")
 
-    @settings(deadline=None)
     @given(hypergraphs())
     def test_property_roundtrip(self, h):
         back = parse_hypergraph(format_hypergraph(h))

@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gridperc.grid import GridSpec, extremal_size
@@ -157,7 +157,6 @@ class TestMinPercolatingExact:
         with pytest.raises(ValueError):
             min_percolating_exact(grid_hypergraph(spec, "K"), budget=-1)
 
-    @settings(deadline=None)
     @given(hypergraphs())
     def test_property_minimum_matches_naive_scan(self, h):
         res = min_percolating_exact(h)
@@ -325,7 +324,6 @@ class TestAgainstPlainScan:
     exactly with the plain scans over the closure oracles: minimum, witness,
     tested count, and the count a budget exit reports."""
 
-    @settings(deadline=None)
     @given(hypergraphs(max_vertices=9, max_edges=10), st.data())
     def test_exact_search(self, h, data):
         mandatory, perc = hypergraph_oracle(h)
@@ -336,7 +334,6 @@ class TestAgainstPlainScan:
             plain_scan, h.num_vertices, perc, mandatory, budget
         )
 
-    @settings(deadline=None)
     @given(graphs(), st.integers(1, 3), st.data())
     def test_r_neighbour_search(self, g, r, data):
         mandatory, perc = graph_oracle(g, r)
@@ -362,13 +359,11 @@ class TestAgainstPlainScan:
             expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
             assert outcome(search, budget) == expected
 
-    @settings(deadline=None)
     @given(hypergraphs(max_vertices=9, max_edges=10), st.integers(1, 4), st.integers(0, 1000))
     def test_greedy(self, h, trials, seed):
         _, perc = hypergraph_oracle(h)
         assert greedy_upper_bound(h, trials, seed) == plain_greedy(h.num_vertices, perc, trials, seed)
 
-    @settings(deadline=None)
     @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
     def test_r_neighbour_greedy(self, g, r, trials, seed):
         _, perc = graph_oracle(g, r)
