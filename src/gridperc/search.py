@@ -1,28 +1,43 @@
 """Independent search oracles.
 
-Exhaustive minimum percolating sets by ascending subset enumeration,
-randomized greedy upper bounds, and r-neighbour bootstrap percolation on
-graphs.  Exceeding the search budget raises, it never degrades to an
-approximate answer.
+Exhaustive minimum percolating sets, randomized greedy upper bounds, and
+r-neighbour bootstrap percolation on graphs.  Exceeding the search budget
+raises, it never degrades to an approximate answer.
 
 The searches and the greedy bounds run on int bitmasks of infected
 vertices.  Each process gives one ``spread(state, v)``: from a closed state,
 infect v and follow only the vertices that become infected, so it returns
-the closure of state plus v.  Since closure(S + x) = closure(closure(S) + x),
-the exhaustive search walks the same ascending, lexicographic candidate sets
-as a plain scan, but as a depth-first prefix stack: each prefix's closure is
-computed once and shared by all its extensions.  A candidate whose next
-vertex already lies in the prefix's closure, or in the closure of an earlier
-candidate it is dominated by, cannot percolate; it is counted without any
-closure work, and a whole subtree of such candidates is counted at once.
-So ``tested``, the budget exit and the witness are exactly those of the
-plain scan.  ``closure`` and ``r_neighbour_closure`` remain the slower
-oracles; each search or greedy bound calls one of them once, for the
-closure of the forced vertices (of the empty set for the greedy bounds).
+the closure of state plus v.
+
+The exhaustive search answers exactly as a plain scan of the candidate sets
+in ascending size, then in lexicographic order: the first that percolates
+is the minimum and the witness, ``tested`` is its position in the scan, and
+the budget exit comes after ``budget`` candidates.  It does not walk the
+sizes in that order.  A superset of a percolating set percolates, so the
+minimum is the size m at which some m-set percolates and no (m - 1)-set
+does.  The search finds the lexicographically first percolating set of one
+size at a time, downward from the largest size the budget reaches, and
+walks only the size just below the minimum in full; each searched size
+walks at most ``budget`` candidates.
+
+Within a size, since closure(S + x) = closure(closure(S) + x), the
+candidates form a depth-first prefix stack: each prefix's closure is
+computed once and shared by all its extensions.  A candidate C whose vertex
+x, picked after a prefix P, lies in closure(P) or in closure(Q + y), the
+prefix of an earlier candidate with Q a prefix of P, is counted without
+closure work, a whole subtree at once: if C percolated, so would the
+earlier candidate C - x + y of the same size.  For x in closure(P), y is
+any free vertex below x outside P; there is none when P holds every free
+vertex below x, so that one vertex is never skipped.
+
+``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
+search or greedy bound calls one of them once, for the closure of the
+forced vertices (of the empty set for the greedy bounds).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -79,79 +94,112 @@ def _edge_spread(h: Hypergraph):
     return spread
 
 
-def _min_subset_search(num_vertices, spread, start, mandatory, budget):
-    # ``start`` is the closure of the mandatory set.  Candidates come in
-    # ascending size, then as lexicographic subsets of the free vertices, so
-    # the first hit is minimal; the full vertex set always percolates, so the
-    # scan returns by size len(free) at the latest.
+def _first_at_size(free, spread, start, full, size, limit):
+    # The lexicographically first percolating ``size``-subset of ``free``
+    # (added to the closed state ``start``) among that size's first ``limit``
+    # positions, as (1-based position, picks), or None.
     #
     # Each prefix P keeps a dead mask: closure(P), the dead mask of its
     # parent, and closure(P + y) for each vertex y whose subtree under P is
-    # done.  A candidate C = P + x + T with x dead cannot percolate: x lies in
-    # closure(P) (then closure(C) = closure(C - x), a smaller candidate) or in
-    # closure(Q + y) for a prefix Q of P and a vertex y tried before Q's next
-    # vertex (then C lies in the closure of C - x + y, an earlier candidate of
-    # the same size).  Either one was tested and failed, so the subtree under
-    # x is counted without being walked.
+    # done.  A candidate C = P + x + T with x dead is skipped, its subtree
+    # counted at once; none of them is the first percolating set.
+    # - x in closure(Q + y), for a prefix Q of P and a vertex y tried before
+    #   Q's next vertex: closure(C) lies in closure(C - x + y), a same-size
+    #   candidate that comes earlier.
+    # - x in closure(P): closure(C) = closure(C - x).  If C percolates, so
+    #   does C - x + y for every free y below x outside P, again an earlier
+    #   candidate.  Such a y is missing only when P = free[:depth] and
+    #   x = free[depth], so that one vertex is never skipped.
+    if not size:
+        return (1, []) if start == full else None
+    nfree = len(free)
+    position = 0
+    # One frame per prefix: [closure, dead mask, next free index to try].
+    frames = [[start, start, 0]]
+    while frames:
+        frame = frames[-1]
+        state, dead, lo = frame
+        depth = len(frames) - 1  # the prefix is free[:depth] iff lo == depth
+        after = size - depth - 1  # vertices still to pick after the next one
+        if after:
+            i = lo
+            while i < nfree - after and i != depth and dead >> free[i] & 1:
+                position += math.comb(nfree - 1 - i, after)
+                if position > limit:
+                    return None
+                i += 1
+            if i < nfree - after:
+                frame[2] = i + 1
+                reached = spread(state, free[i])
+                frames.append([reached, dead | reached, i + 1])
+                continue
+        else:
+            for i in range(lo, nfree):
+                if position >= limit:
+                    return None
+                position += 1
+                v = free[i]
+                if i == depth or not dead >> v & 1:
+                    reached = spread(state, v)
+                    if reached == full:
+                        return position, [free[f[2] - 1] for f in frames[:-1]] + [v]
+                    dead |= reached
+        # The first percolating set does not lie under this prefix.
+        frames.pop()
+        if frames:
+            frames[-1][1] |= state
+    return None
+
+
+def _min_subset_search(num_vertices, spread, start, mandatory, budget):
+    # ``start`` is the closure of the mandatory set.  The sizes are searched
+    # downward (see the module docstring); ``tested`` is the answer's
+    # position in the plain ascending scan.
     budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget == 0:
+        raise SearchBudgetExceeded(0, budget)
     full = (1 << num_vertices) - 1
     forced = set(mandatory)
     free = [v for v in range(num_vertices) if v not in forced]
     nfree = len(free)
-    if budget == 0:
-        raise SearchBudgetExceeded(0, budget)
-    tested = 1  # the mandatory set alone
-    if start == full:
-        return SearchResult(len(mandatory), tuple(sorted(mandatory)), tested)
-    for size in range(1, nfree + 1):
-        # One frame per prefix: [closure, dead mask, next free index to try].
-        frames = [[start, start, 0]]
-        while frames:
-            frame = frames[-1]
-            state, dead, lo = frame
-            after = size - len(frames)  # vertices still to pick after the next one
-            if after:
-                i = lo
-                while i < nfree - after and dead >> free[i] & 1:
-                    skipped = math.comb(nfree - 1 - i, after)
-                    if tested + skipped > budget:
-                        # The scan stops inside this subtree, after candidate number ``budget``.
-                        raise SearchBudgetExceeded(budget, budget)
-                    tested += skipped
-                    i += 1
-                if i < nfree - after:
-                    frame[2] = i + 1
-                    reached = spread(state, free[i])
-                    frames.append([reached, dead | reached, i + 1])
-                    continue
-            else:
-                for i in range(lo, nfree):
-                    if tested >= budget:
-                        raise SearchBudgetExceeded(tested, budget)
-                    tested += 1
-                    v = free[i]
-                    if not dead >> v & 1:
-                        reached = spread(state, v)
-                        if reached == full:
-                            witness = mandatory + [free[f[2] - 1] for f in frames[:-1]] + [v]
-                            return SearchResult(len(witness), tuple(sorted(witness)), tested)
-                        dead |= reached
-            # Nothing under this prefix percolates.
-            frames.pop()
-            if frames:
-                frames[-1][1] |= state
-    raise AssertionError("the full vertex set failed to percolate")
+    # before[k]: the scan's candidates of size below k (size 0 is the
+    # mandatory set alone), up to the first size the budget does not reach.
+    before = [0]
+    while len(before) <= nfree and before[-1] < budget:
+        before.append(before[-1] + math.comb(nfree, len(before) - 1))
+    size = bisect.bisect_left(before, budget) - 1
+    found = _first_at_size(free, spread, start, full, size, budget - before[size])
+    if found is None and size:
+        # No size-set percolates within the budget; the minimum is within it
+        # only if it is smaller, so the size below must hold a percolating set.
+        size -= 1
+        found = _first_at_size(free, spread, start, full, size, math.inf)
+    if found is None:
+        raise SearchBudgetExceeded(budget, budget)
+    while size:
+        smaller = _first_at_size(free, spread, start, full, size - 1, math.inf)
+        if smaller is None:
+            break
+        size -= 1
+        found = smaller
+    position, picks = found
+    witness = mandatory + picks
+    return SearchResult(len(witness), tuple(sorted(witness)), before[size] + position)
 
 
 def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Smallest percolating set, by exhaustive ascending subset enumeration.
+    """Smallest percolating set, by exhaustive subset search.
 
     Vertices that lie in no edge can never be infected, so they are forced
     into every candidate.  Always returns the exact minimum (the full vertex
-    set percolates); raises SearchBudgetExceeded after ``budget`` candidate
-    sets and ValueError for a negative ``budget``.
+    set percolates), with the witness and ``tested`` of a plain scan of the
+    candidates in ascending size, then lexicographic order; raises
+    SearchBudgetExceeded when that scan would pass ``budget`` candidate sets,
+    and ValueError for a negative ``budget``.  The sizes are searched
+    downward from the largest the budget reaches, so only the size below
+    the minimum is walked in full.
     """
     covered = set(itertools.chain.from_iterable(h.edges))
     mandatory = [v for v in range(h.num_vertices) if v not in covered]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridperc import search
 from gridperc.grid import GridSpec, extremal_size
-from gridperc.percolation import Hypergraph, grid_hypergraph, percolates
+from gridperc.percolation import Hypergraph, closure, grid_hypergraph, percolates
 from gridperc.search import (
     DEFAULT_BUDGET,
     Graph,
@@ -109,6 +111,38 @@ def outcome(search, *args, **kwargs):
         return ("budget exceeded", exc.tested, exc.budget)
 
 
+def first_percolating(free, mandatory, percolates_fn, size):
+    """Reference for one size: the 1-based position and picks of the first
+    percolating size-subset of free in itertools.combinations order."""
+    for position, combo in enumerate(itertools.combinations(free, size), 1):
+        if percolates_fn(mandatory + list(combo)):
+            return position, list(combo)
+    return None
+
+
+def size_search(num_vertices, spread, start, mandatory):
+    """The free vertices and _first_at_size bound to one process."""
+    free = [v for v in range(num_vertices) if v not in mandatory]
+    full = (1 << num_vertices) - 1
+
+    def first(size, limit=math.inf):
+        return search._first_at_size(free, spread, start, full, size, limit)
+
+    return free, first
+
+
+def hypergraph_size_search(h):
+    mandatory, _ = hypergraph_oracle(h)
+    start = search._mask(closure(h, mandatory).final)
+    return size_search(h.num_vertices, search._edge_spread(h), start, mandatory)
+
+
+def graph_size_search(g, r):
+    mandatory, _ = graph_oracle(g, r)
+    start = search._mask(r_neighbour_closure(g, mandatory, r))
+    return size_search(g.num_vertices, search._neighbour_spread(g, r), start, mandatory)
+
+
 def naive_minimum(h):
     """Smallest k such that some k-subset percolates, by a plain scan of
     every subset (no forced vertices, no early structure)."""
@@ -156,6 +190,19 @@ class TestMinPercolatingExact:
             min_percolating_exact(grid_hypergraph(spec, "K"), budget=10)
         with pytest.raises(ValueError):
             min_percolating_exact(grid_hypergraph(spec, "K"), budget=-1)
+
+    def test_sizes_below_the_one_under_the_minimum_are_never_walked(self, monkeypatch):
+        sizes = []
+        walk = search._first_at_size
+
+        def recorder(free, spread, start, full, size, limit):
+            sizes.append(size)
+            return walk(free, spread, start, full, size, limit)
+
+        monkeypatch.setattr(search, "_first_at_size", recorder)
+        res = min_percolating_exact(grid_hypergraph(GridSpec.cube(4, 2, 3, 2), "K"))
+        assert res.minimum == 12
+        assert min(sizes) == 11
 
     @given(hypergraphs())
     def test_property_minimum_matches_naive_scan(self, h):
@@ -319,6 +366,36 @@ def test_float_threshold_or_budget_is_rejected(search, args, kwargs):
         search(*args, **kwargs)
 
 
+class TestFirstAtSize:
+    """Each size on its own: the first percolating set of that size, whether
+    or not smaller sets percolate."""
+
+    def test_first_vertex_in_the_first_prefix_closure_is_not_skipped(self):
+        # {0} percolates, so under the prefix {0} every other vertex lies in
+        # the prefix's closure; the first 2- and 3-sets still percolate.
+        h = Hypergraph(3, [(0, 2), (1, 2)])
+        for budget in range(2, 2**3 + 2):
+            assert min_percolating_exact(h, budget=budget) == SearchResult(1, (0,), 2)
+        assert min_percolating_exact(h) == SearchResult(1, (0,), 2)
+        _, first = hypergraph_size_search(h)
+        assert first(2) == (1, [0, 1])
+        assert first(3) == (1, [0, 1, 2])
+
+    @given(hypergraphs(max_vertices=9, max_edges=10))
+    def test_hypergraph(self, h):
+        mandatory, perc = hypergraph_oracle(h)
+        free, first = hypergraph_size_search(h)
+        for size in range(len(free) + 1):
+            assert first(size) == first_percolating(free, mandatory, perc, size)
+
+    @given(graphs(), st.integers(1, 3))
+    def test_r_neighbour(self, g, r):
+        mandatory, perc = graph_oracle(g, r)
+        free, first = graph_size_search(g, r)
+        for size in range(len(free) + 1):
+            assert first(size) == first_percolating(free, mandatory, perc, size)
+
+
 class TestAgainstPlainScan:
     """The prefix-closure searches and the mask-based greedy bounds agree
     exactly with the plain scans over the closure oracles: minimum, witness,
@@ -329,7 +406,7 @@ class TestAgainstPlainScan:
         mandatory, perc = hypergraph_oracle(h)
         expected = plain_scan(h.num_vertices, perc, mandatory, DEFAULT_BUDGET)
         assert min_percolating_exact(h) == expected
-        budget = data.draw(st.integers(0, expected.tested + 1), label="budget")
+        budget = data.draw(st.integers(0, 2**h.num_vertices + 1), label="budget")
         assert outcome(min_percolating_exact, h, budget=budget) == outcome(
             plain_scan, h.num_vertices, perc, mandatory, budget
         )
@@ -339,7 +416,7 @@ class TestAgainstPlainScan:
         mandatory, perc = graph_oracle(g, r)
         expected = plain_scan(g.num_vertices, perc, mandatory, DEFAULT_BUDGET)
         assert min_r_neighbour_percolating(g, r) == expected
-        budget = data.draw(st.integers(0, expected.tested + 1), label="budget")
+        budget = data.draw(st.integers(0, 2**g.num_vertices + 1), label="budget")
         assert outcome(min_r_neighbour_percolating, g, r, budget=budget) == outcome(
             plain_scan, g.num_vertices, perc, mandatory, budget
         )
@@ -354,8 +431,10 @@ class TestAgainstPlainScan:
     )
     def test_every_budget(self, search):
         # The plain scan stops before candidate budget + 1, reporting budget.
+        # Up to 2**9 + 1, one past every candidate of these inputs, so budgets
+        # also reach sizes above the minimum.
         full = search(DEFAULT_BUDGET)
-        for budget in range(full.tested + 2):
+        for budget in range(2**9 + 2):
             expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
             assert outcome(search, budget) == expected
 
