@@ -7,7 +7,7 @@ Library layout:
   each edge's value sets and vertex ids as a plain tuple, and the extremal
   set with its closed-form size,
 * ``percolation`` -- generic hypergraph bootstrap closure with traces, plus
-  hypergraph builders and the text format,
+  hypergraph builders and the text-format reader,
 * ``exact`` -- integer-only linear algebra: general-position matrices,
   dependency coefficients, and one fraction-free elimination kernel behind
   ``det``, ``matrix_rank`` and the incremental ``EliminationBasis``,
@@ -27,8 +27,6 @@ from .certificate import (
     certificate_to_dict,
     certificate_vector,
     certified_lower_bound,
-    edge_coefficient,
-    project,
     projection_component,
 )
 from .exact import (
@@ -55,7 +53,6 @@ from .percolation import (
     ClosureResult,
     Hypergraph,
     closure,
-    format_hypergraph,
     grid_hypergraph,
     parse_hypergraph,
     percolates,
@@ -68,7 +65,6 @@ from .search import (
     SearchBudgetExceeded,
     SearchResult,
     greedy_r_neighbour_upper_bound,
-    greedy_upper_bound,
     grid_graph,
     hypercube_graph,
     min_percolating_exact,
@@ -104,14 +100,11 @@ __all__ = [
     "decode_vertex",
     "dependency_coeffs",
     "det",
-    "edge_coefficient",
     "encode_vertex",
     "enumerate_edges",
     "extremal_set",
     "extremal_size",
-    "format_hypergraph",
     "greedy_r_neighbour_upper_bound",
-    "greedy_upper_bound",
     "grid_graph",
     "grid_hypergraph",
     "hypercube_graph",
@@ -120,7 +113,6 @@ __all__ = [
     "min_r_neighbour_percolating",
     "parse_hypergraph",
     "percolates",
-    "project",
     "projection_component",
     "r_neighbour_closure",
     "read_hypergraph",

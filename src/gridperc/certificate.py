@@ -9,11 +9,12 @@ is checked, output and replayed by audits.  Verified properties:
 * span: the vectors have full rank (the extremal-set size), because the
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
 * dependency: for every edge, the vectors of its vertices, weighted by their
-  edge coefficients (products of per-axis cofactor coefficients, nonzero
-  because the matrices are in general position, which computing them checks),
-  sum to zero.  The edge loop reads each edge's value sets and vertex ids
-  from the one grid edge walk and looks the vectors up in the id-ordered
-  table by id.
+  edge coefficients, sum to zero.  A vertex's edge coefficient is the product
+  over the edge's varying axes of its value's cofactor coefficient, read from
+  the context's per-axis tables; each is nonzero because the matrices are in
+  general position, which building the tables checks.  The edge loop reads
+  each edge's value sets and vertex ids from the one grid edge walk and looks
+  the vectors up in the id-ordered table by id.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -94,30 +95,6 @@ def build_context(spec: GridSpec, family: str = "K") -> CertificateContext:
     return CertificateContext(spec, family, matrices, tuple(coeffs), u, {v: i for i, v in enumerate(u)})
 
 
-def project(spec: GridSpec, v: Vertex, axes, values) -> Vertex:
-    """Copy of v with coordinate axes[i] set to values[i].
-
-    Axes are 1-based and must be distinct; the result does not depend on the
-    order of the (axis, value) pairs.
-    """
-    axes = tuple(axes)
-    values = tuple(values)
-    if len(axes) != len(set(axes)):
-        raise ValueError(f"duplicate axes in {axes}")
-    if len(axes) != len(values):
-        raise ValueError("need one value per axis")
-    if len(v) != spec.d:
-        raise ValueError(f"expected {spec.d} coordinates, got {len(v)}")
-    out = list(v)
-    for k, j in zip(axes, values):
-        if not 1 <= k <= spec.d:
-            raise ValueError(f"axis {k} outside [1, {spec.d}]")
-        if not 1 <= j <= spec.dims[k - 1]:
-            raise ValueError(f"value {j} outside [1, {spec.dims[k - 1]}] on axis {k}")
-        out[k - 1] = j
-    return tuple(out)
-
-
 def projection_component(v: Vertex, proj_axes, ctx: CertificateContext) -> list[int]:
     """Contribution of one projected-axis set to the vertex's vector.
 
@@ -164,23 +141,6 @@ def certificate_vector(v: Vertex, ctx: CertificateContext) -> list[int]:
         for i, x in enumerate(projection_component(v, proj_axes, ctx)):
             vec[i] += x
     return vec
-
-
-def edge_coefficient(edge, v: Vertex, ctx: CertificateContext) -> int:
-    """Dependency coefficient of vertex v within an edge of enumerate_edges.
-
-    Product over the edge's varying axes of the cofactor dependency
-    coefficient for that axis's value set, evaluated at v's value.  Nonzero
-    for every vertex of the edge.
-    """
-    varying, values, _fixed, ids = edge
-    if encode_vertex(ctx.spec, v) not in ids:
-        raise ValueError(f"vertex {v} is not in the edge")
-    coeff = 1
-    for axis, vals in zip(varying, values):
-        lams = dependency_coeffs(ctx.axis_matrices[axis - 1], vals)
-        coeff *= lams[vals.index(v[axis - 1])]
-    return coeff
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .certificate import (
     certified_lower_bound,
 )
 from .grid import (
+    FAMILIES,
     GridSpec,
     count_edges,
     decode_vertex,
@@ -81,7 +82,7 @@ def _add_spec_args(p: argparse.ArgumentParser, with_family: bool = True, require
     p.add_argument("--n", required=required, help="axis length, or comma list of per-axis lengths")
     p.add_argument("--t", required=required, help="thickness, or comma list of per-axis thicknesses")
     if with_family:
-        p.add_argument("--family", choices=["K", "P"], default="K", help="edge family (default K)")
+        p.add_argument("--family", choices=FAMILIES, default="K", help="edge family (default K)")
 
 
 def _add_output_args(p: argparse.ArgumentParser, formats=()) -> None:
@@ -272,7 +273,7 @@ def _cmd_sweep(args):
     if not families or len(set(families)) != len(families):
         raise ValueError(f"--families needs distinct families, got {args.families!r}")
     for f in families:
-        if f not in ("K", "P"):
+        if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r} in --families")
     if args.brute_tests < 0:
         raise ValueError(f"--brute-tests must be >= 0, got {args.brute_tests}")
@@ -329,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     start.add_argument("--infected", default=None, help="comma list of initially infected 0-based ids")
     start.add_argument("--initial-u", action="store_true", help="start from the extremal set (grid mode)")
     _add_spec_args(p, with_family=False, required=False)
-    p.add_argument("--family", choices=["K", "P"], default=None, help="edge family (default K)")
+    p.add_argument("--family", choices=FAMILIES, default=None, help="edge family (default K)")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_closure)
 

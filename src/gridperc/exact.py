@@ -10,7 +10,7 @@ rescales, so the kernel defers that rescale to the next step that has a
 nonzero multiplier, or to the end; the stored rows, and with them exactness
 and the growth bound, are those of the plain step-by-step elimination.
 matrix_rank and det insert their rows into a basis and read the rank and the
-last pivot off it.
+last pivot off it; audits read span membership off insert's result.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ class EliminationBasis:
     each row k in turn by v <- (p_k*v - v[c_k]*row_k) // p_{k-1}, with
     p_{-1} = 1.  By Sylvester's identity every entry is then a minor of the
     inserted rows, so each division is exact; at full rank every remainder is
-    zero.  insert() keeps a nonzero remainder as a new row pivoted at its
-    first nonzero entry and reports whether the span grew; inserting a vector
-    already in the span leaves the state unchanged.
+    zero.  insert(), the one public operation, keeps a nonzero remainder as a
+    new row pivoted at its first nonzero entry and reports whether the span
+    grew; inserting a vector already in the span returns False and leaves the
+    state unchanged.
 
     When v[c_k] == 0 the step only multiplies v by p_k / p_{k-1}.  _reduce
     skips such steps: it keeps the pivot ``held`` of the last step it carried
@@ -99,10 +100,6 @@ class EliminationBasis:
         self._pivot_cols.append(lead)
         self._rows.append(v)
         return True
-
-    def contains(self, vector) -> bool:
-        """Membership test without mutating the basis."""
-        return not any(self._reduce(vector))
 
 
 def _permutation_sign(perm) -> int:

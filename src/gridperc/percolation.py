@@ -148,16 +148,9 @@ def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:
     return Hypergraph(len(pair_id), hyperedges)
 
 
-def format_hypergraph(h: Hypergraph) -> str:
-    """Text form: header ``p <num_vertices> <num_edges>``, then one line of
-    space-separated 0-based ids per edge."""
-    lines = [f"p {h.num_vertices} {len(h.edges)}"]
-    lines.extend(" ".join(map(str, e)) for e in h.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Inverse of format_hypergraph; blank lines are ignored."""
+    """Read the text form: header ``p <num_vertices> <num_edges>``, then one
+    line of space-separated 0-based ids per edge; blank lines are ignored."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or rows[0][:1] != ["p"] or len(rows[0]) != 3:
         raise ValueError("expected header line 'p <num_vertices> <num_edges>'")

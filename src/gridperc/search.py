@@ -1,10 +1,10 @@
 """Independent search oracles.
 
-Exhaustive minimum percolating sets, randomized greedy upper bounds, and
-r-neighbour bootstrap percolation on graphs.  Exceeding the search budget
+Exhaustive minimum percolating sets, and r-neighbour bootstrap percolation
+on graphs with a randomized greedy upper bound.  Exceeding the search budget
 raises, it never degrades to an approximate answer.
 
-The searches and the greedy bounds run on int bitmasks of infected
+The searches and the greedy bound run on int bitmasks of infected
 vertices.  Each process gives one ``spread(state, v)``: from a closed state,
 infect v and follow only the vertices that become infected, so it returns
 the closure of state plus v.
@@ -31,8 +31,8 @@ any free vertex below x outside P; there is none when P holds every free
 vertex below x, so that one vertex is never skipped.
 
 ``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
-search or greedy bound calls one of them once, for the closure of the
-forced vertices (of the empty set for the greedy bounds).
+search or the greedy bound calls one of them once, for the closure of the
+forced vertices (of the empty set for the greedy bound).
 """
 
 from __future__ import annotations
@@ -207,40 +207,6 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> Sea
     return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget)
 
 
-def _greedy_deletion(num_vertices, spread, empty_closure, trials, seed):
-    # A candidate percolates iff folding spread over it from the closure of
-    # the empty set reaches every vertex.
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    full = (1 << num_vertices) - 1
-    rng = random.Random(seed)
-    best = frozenset(range(num_vertices))
-    for _ in range(trials):
-        order = list(range(num_vertices))
-        rng.shuffle(order)
-        current = set(range(num_vertices))
-        for v in order:
-            smaller = current - {v}
-            if functools.reduce(spread, smaller, empty_closure) == full:
-                current = smaller
-        if len(current) < len(best):
-            best = frozenset(current)
-    return best
-
-
-def greedy_upper_bound(h: Hypergraph, trials: int = 1, seed: int = 0) -> frozenset[int]:
-    """Percolating set found by randomized greedy deletion from the full set.
-
-    Each trial scans the vertices in a shuffled order and drops any whose
-    removal keeps the set percolating.  One pass per trial suffices: removals
-    only shrink closures, so a vertex that cannot be dropped now can never be
-    dropped later.  Deterministic given the seed; the result percolates by
-    construction, so its size is an upper bound on the true minimum.
-    """
-    empty_closure = _mask(closure(h, ()).final)
-    return _greedy_deletion(h.num_vertices, _edge_spread(h), empty_closure, trials, seed)
-
-
 class Graph:
     """Undirected simple graph: vertex count plus sorted adjacency tuples."""
 
@@ -356,10 +322,36 @@ def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGE
 
 
 def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:
-    """Greedy-deletion upper bound for the r-neighbour process (cf.
-    greedy_upper_bound; the same one-pass argument applies)."""
+    """Percolating set of the r-neighbour process found by randomized greedy
+    deletion from the full set.
+
+    Each trial scans the vertices in a shuffled order and drops any whose
+    removal keeps the set percolating.  One pass per trial suffices: removals
+    only shrink closures, so a vertex that cannot be dropped now can never be
+    dropped later.  Deterministic given the seed; the result percolates by
+    construction, so its size is an upper bound on the true minimum.
+    """
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    # A candidate percolates iff folding spread over it from the closure of
+    # the empty set reaches every vertex.
+    spread = _neighbour_spread(g, r)
     empty_closure = _mask(r_neighbour_closure(g, (), r))
-    return _greedy_deletion(g.num_vertices, _neighbour_spread(g, r), empty_closure, trials, seed)
+    n = g.num_vertices
+    full = (1 << n) - 1
+    rng = random.Random(seed)
+    best = frozenset(range(n))
+    for _ in range(trials):
+        order = list(range(n))
+        rng.shuffle(order)
+        current = set(range(n))
+        for v in order:
+            smaller = current - {v}
+            if functools.reduce(spread, smaller, empty_closure) == full:
+                current = smaller
+        if len(current) < len(best):
+            best = frozenset(current)
+    return best

@@ -1,7 +1,11 @@
-"""Plain reference versions of the library's fast kernels.
+"""Plain reference versions of the library's fast kernels, and helpers only
+tests need.
 
-Each is the straightforward form of a kernel the library optimizes, kept
-here so tests can require the library to give exactly the same results.
+Each reference is the straightforward form of a kernel the library
+optimizes, kept here so tests can require the library to give exactly the
+same results.  The helpers (coordinate projection, per-vertex edge
+coefficients, the hypergraph text writer and span membership) have no
+caller in the library.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 import operator
 from collections import deque
 
+from gridperc.exact import dependency_coeffs
+from gridperc.grid import encode_vertex
 from gridperc.percolation import ClosureResult
 
 
@@ -95,3 +101,58 @@ def reference_closure(h, initial) -> ClosureResult:
 
     final = frozenset(i for i, flag in enumerate(infected) if flag)
     return ClosureResult(frozenset(init), final, tuple(trace))
+
+
+def in_span(basis, vector) -> bool:
+    """Membership test against an EliminationBasis without mutating it."""
+    return not any(basis._reduce(vector))
+
+
+def project(spec, v, axes, values):
+    """Copy of v with coordinate axes[i] set to values[i].
+
+    Axes are 1-based and must be distinct; the result does not depend on the
+    order of the (axis, value) pairs.
+    """
+    axes = tuple(axes)
+    values = tuple(values)
+    if len(axes) != len(set(axes)):
+        raise ValueError(f"duplicate axes in {axes}")
+    if len(axes) != len(values):
+        raise ValueError("need one value per axis")
+    if len(v) != spec.d:
+        raise ValueError(f"expected {spec.d} coordinates, got {len(v)}")
+    out = list(v)
+    for k, j in zip(axes, values):
+        if not 1 <= k <= spec.d:
+            raise ValueError(f"axis {k} outside [1, {spec.d}]")
+        if not 1 <= j <= spec.dims[k - 1]:
+            raise ValueError(f"value {j} outside [1, {spec.dims[k - 1]}] on axis {k}")
+        out[k - 1] = j
+    return tuple(out)
+
+
+def edge_coefficient(edge, v, ctx) -> int:
+    """Dependency coefficient of vertex v within an edge of enumerate_edges.
+
+    Product over the edge's varying axes of the cofactor dependency
+    coefficient for that axis's value set, evaluated at v's value and
+    computed afresh from the context's matrices.  Nonzero for every vertex
+    of the edge.
+    """
+    varying, values, _fixed, ids = edge
+    if encode_vertex(ctx.spec, v) not in ids:
+        raise ValueError(f"vertex {v} is not in the edge")
+    coeff = 1
+    for axis, vals in zip(varying, values):
+        lams = dependency_coeffs(ctx.axis_matrices[axis - 1], vals)
+        coeff *= lams[vals.index(v[axis - 1])]
+    return coeff
+
+
+def format_hypergraph(h) -> str:
+    """Text form read by parse_hypergraph: header ``p <num_vertices>
+    <num_edges>``, then one line of space-separated 0-based ids per edge."""
+    lines = [f"p {h.num_vertices} {len(h.edges)}"]
+    lines.extend(" ".join(map(str, e)) for e in h.edges)
+    return "\n".join(lines) + "\n"

@@ -19,7 +19,6 @@ from gridperc.certificate import (
     build_context,
     certificate_vector,
     certified_lower_bound,
-    edge_coefficient,
     projection_component,
 )
 from gridperc.exact import build_general_position_matrix, matrix_rank, verify_general_position
@@ -40,6 +39,7 @@ from gridperc.search import (
     r_neighbour_closure,
 )
 from gridperc.cli import main as cli_main
+from oracles import edge_coefficient
 
 
 def sweep_specs():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from collections import defaultdict
 from unittest import mock
 
@@ -17,8 +18,6 @@ from gridperc.certificate import (
     certificate_to_dict,
     certificate_vector,
     certified_lower_bound,
-    edge_coefficient,
-    project,
     projection_component,
 )
 from gridperc.cli import main
@@ -34,7 +33,7 @@ from gridperc.grid import (
     vertices,
 )
 from gridperc.percolation import Hypergraph
-from oracles import ReferenceBasis, reference_closure
+from oracles import ReferenceBasis, edge_coefficient, project, reference_closure
 
 SPEC_3222 = GridSpec.cube(3, 2, 2, 2)
 SPEC_3232 = GridSpec.cube(3, 2, 3, 2)
@@ -236,6 +235,20 @@ class TestEdgeCoefficient:
         edge = next(iter(enumerate_edges(SPEC_3222, "K")))
         with pytest.raises(ValueError):
             edge_coefficient(edge, (3, 3), ctx)
+
+    @given(small_specs())
+    def test_property_table_products_follow_id_order(self, spec):
+        # certified_lower_bound pairs an edge's ids with the product of its
+        # value sets' coefficients from ctx.axis_coeffs; each product must be
+        # the coefficient of the vertex with that id.
+        ctx = build_context(spec)
+        for edge in enumerate_edges(spec, "K"):
+            varying, values, _, ids = edge
+            lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
+            products = [math.prod(cs) for cs in itertools.product(*lams)]
+            assert len(products) == len(ids)
+            assert products == [edge_coefficient(edge, v, ctx) for v in edge_vertices(spec, edge)]
+            assert all(products)
 
 
 class TestDependencySums:

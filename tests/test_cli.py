@@ -10,7 +10,8 @@ import pytest
 
 import gridperc
 from gridperc.cli import main
-from gridperc.percolation import format_hypergraph, weak_saturation_hypergraph
+from gridperc.percolation import weak_saturation_hypergraph
+from oracles import format_hypergraph
 
 
 def run_json(capsys, argv):

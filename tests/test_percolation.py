@@ -16,14 +16,13 @@ from gridperc.grid import (
 from gridperc.percolation import (
     Hypergraph,
     closure,
-    format_hypergraph,
     grid_hypergraph,
     parse_hypergraph,
     percolates,
     weak_saturation_hypergraph,
 )
 from gridperc.search import min_percolating_exact
-from oracles import reference_closure
+from oracles import format_hypergraph, reference_closure
 
 
 def replay_trace(h, result):

@@ -16,7 +16,6 @@ from gridperc.search import (
     SearchBudgetExceeded,
     SearchResult,
     greedy_r_neighbour_upper_bound,
-    greedy_upper_bound,
     grid_graph,
     hypercube_graph,
     min_percolating_exact,
@@ -35,12 +34,6 @@ def reachable_from(g, sources):
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def random_hypergraph(rng, max_vertices=9, max_edges=10):
-    nv = rng.randint(1, max_vertices)
-    edges = [rng.sample(range(nv), rng.randint(1, min(4, nv))) for _ in range(rng.randint(0, max_edges))]
-    return Hypergraph(nv, edges)
 
 
 @st.composite
@@ -212,36 +205,6 @@ class TestMinPercolatingExact:
         assert res.minimum == naive_minimum(h)
 
 
-class TestGreedyUpperBound:
-    def test_always_percolates(self):
-        rng = random.Random(4096)
-        for _ in range(40):
-            h = random_hypergraph(rng)
-            witness = greedy_upper_bound(h, trials=3, seed=rng.randint(0, 999))
-            assert percolates(h, witness)
-
-    def test_reaches_optimum_on_small_square(self):
-        spec = GridSpec.cube(3, 2, 2, 2)
-        h = grid_hypergraph(spec, "K")
-        assert len(greedy_upper_bound(h, trials=50, seed=0)) == 5
-
-    def test_no_edges_returns_everything(self):
-        h = Hypergraph(4, [])
-        assert greedy_upper_bound(h, trials=2, seed=1) == frozenset(range(4))
-
-    def test_deterministic_given_seed(self):
-        spec = GridSpec.cube(3, 2, 2, 2)
-        h = grid_hypergraph(spec, "P")
-        assert greedy_upper_bound(h, trials=5, seed=7) == greedy_upper_bound(h, trials=5, seed=7)
-
-    def test_never_below_exact_minimum(self):
-        rng = random.Random(513)
-        for _ in range(25):
-            h = random_hypergraph(rng, max_vertices=7, max_edges=8)
-            exact = min_percolating_exact(h)
-            assert len(greedy_upper_bound(h, trials=4, seed=11)) >= exact.minimum
-
-
 class TestGraphs:
     def test_grid_counts(self):
         g = grid_graph((3, 3))
@@ -397,7 +360,7 @@ class TestFirstAtSize:
 
 
 class TestAgainstPlainScan:
-    """The prefix-closure searches and the mask-based greedy bounds agree
+    """The prefix-closure searches and the mask-based greedy bound agree
     exactly with the plain scans over the closure oracles: minimum, witness,
     tested count, and the count a budget exit reports."""
 
@@ -437,11 +400,6 @@ class TestAgainstPlainScan:
         for budget in range(2**9 + 2):
             expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
             assert outcome(search, budget) == expected
-
-    @given(hypergraphs(max_vertices=9, max_edges=10), st.integers(1, 4), st.integers(0, 1000))
-    def test_greedy(self, h, trials, seed):
-        _, perc = hypergraph_oracle(h)
-        assert greedy_upper_bound(h, trials, seed) == plain_greedy(h.num_vertices, perc, trials, seed)
 
     @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
     def test_r_neighbour_greedy(self, g, r, trials, seed):
