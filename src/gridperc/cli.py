@@ -32,6 +32,7 @@ from .certificate import (
 from .grid import (
     FAMILIES,
     GridSpec,
+    axis_images,
     count_edges,
     decode_vertex,
     encode_vertex,
@@ -39,7 +40,13 @@ from .grid import (
     extremal_set,
     extremal_size,
 )
-from .percolation import closure, grid_hypergraph, read_hypergraph, weak_saturation_hypergraph
+from .percolation import (
+    closure,
+    grid_hypergraph,
+    read_hypergraph,
+    weak_saturation_hypergraph,
+    weak_saturation_images,
+)
 from .search import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
@@ -198,7 +205,7 @@ def _cmd_minperc(args):
         payload = {
             "family": args.family,
             "mode": "exhaustive",
-            **_found(min_percolating_exact(h, budget=args.budget)),
+            **_found(min_percolating_exact(h, budget=args.budget, images=axis_images(spec.dims, spec.thick))),
         }
     else:
         cert = certified_lower_bound(spec, args.family)
@@ -227,10 +234,13 @@ def _cmd_rneighbour(args):
     else:
         g = hypercube_graph(args.hypercube)
         desc = {"kind": "hypercube", "d": args.hypercube}
+        # The d-cube is the 2 x ... x 2 grid graph, with the same ids.
+        dims = (2,) * args.hypercube
     payload = {"graph": desc, "r": args.r}
     if args.exhaustive:
         payload["mode"] = "exhaustive"
-        payload.update(_found(min_r_neighbour_percolating(g, args.r, budget=args.budget)))
+        result = min_r_neighbour_percolating(g, args.r, budget=args.budget, images=axis_images(dims))
+        payload.update(_found(result))
     else:
         witness = greedy_r_neighbour_upper_bound(g, args.r, trials=args.trials, seed=args.seed)
         payload.update(
@@ -244,7 +254,7 @@ def _cmd_rneighbour(args):
 
 def _cmd_wsat(args):
     h = weak_saturation_hypergraph(args.n, args.k)
-    result = min_percolating_exact(h, budget=args.budget)
+    result = min_percolating_exact(h, budget=args.budget, images=weak_saturation_images(args.n))
     payload = {
         "n": args.n,
         "k": args.k,
@@ -291,7 +301,9 @@ def _cmd_sweep(args):
                 predicted = sum(math.comb(nv, k) for k in range(formula + 1))
                 if predicted <= args.brute_tests:
                     brute = min_percolating_exact(
-                        grid_hypergraph(spec, family), budget=args.brute_tests
+                        grid_hypergraph(spec, family),
+                        budget=args.brute_tests,
+                        images=axis_images(spec.dims, spec.thick),
                     ).minimum
             runtime_ms = int((time.perf_counter() - started) * 1000)
             rows.append(

@@ -121,6 +121,31 @@ def row_major_strides(dims) -> list[int]:
     return [math.prod(dims[k + 1:]) for k in range(len(dims))]
 
 
+def axis_images(dims, thick=None) -> list[tuple[int, ...]]:
+    """Generators of the grid's axis symmetries, as permutations of the ids.
+
+    One reflection x_k -> n_k + 1 - x_k per axis of length above 1, then a
+    swap of each pair of adjacent axes with equal lengths (and, when
+    ``thick`` is given, equal thicknesses): at most 2d - 1 images, each a
+    tuple whose entry v is the id vertex v maps to.  Each maps the grid graph
+    on ``dims``, and the "K" and "P" families of any copy rank, onto
+    themselves.  The ids move by row-major stride arithmetic.
+    """
+    dims = tuple(map(operator.index, dims))
+    strides = row_major_strides(dims)
+    ids = range(math.prod(dims))
+    images = [
+        tuple(v + (n - 1 - 2 * (v // s % n)) * s for v in ids)
+        for n, s in zip(dims, strides)
+        if n > 1
+    ]
+    for k in range(len(dims) - 1):
+        if dims[k] == dims[k + 1] and (thick is None or thick[k] == thick[k + 1]):
+            n, s, s2 = dims[k], strides[k], strides[k + 1]
+            images.append(tuple(v + (v // s2 % n - v // s % n) * (s - s2) for v in ids))
+    return images
+
+
 def _axis_value_sets(n: int, t: int, family: str):
     if family == "K":
         yield from itertools.combinations(range(1, n + 1), t)

@@ -148,6 +148,22 @@ def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:
     return Hypergraph(len(pair_id), hyperedges)
 
 
+def weak_saturation_images(n: int) -> list[tuple[int, ...]]:
+    """The n - 1 adjacent transpositions (i i+1) of the complete graph's
+    vertices, acting on the pair ids of weak_saturation_hypergraph(n, k).
+
+    Entry p of an image is the id pair p maps to; each image maps the
+    hyperedges of every k onto themselves.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    images = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        images.append(tuple(pair_id[tuple(sorted(swap.get(a, a) for a in p))] for p in pairs))
+    return images
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Read the text form: header ``p <num_vertices> <num_edges>``, then one
     line of space-separated 0-based ids per edge; blank lines are ignored."""

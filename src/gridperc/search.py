@@ -30,6 +30,19 @@ earlier candidate C - x + y of the same size.  For x in closure(P), y is
 any free vertex below x outside P; there is none when P holds every free
 vertex below x, so that one vertex is never skipped.
 
+A caller may also pass images: automorphisms of the hypergraph or graph,
+each checked before any search work to permute the vertex ids and to map
+the edges (or the adjacency) and the forced vertices onto themselves.  A
+candidate whose prefix an image maps to a same-size set that comes earlier
+in the scan is skipped, its subtree counted at once.  The first percolating
+set S* is never skipped: an image g(S*) percolates too, so g(S*) cannot
+come before S*.  Any set of automorphisms gives the answers of the plain
+scan; the CLI passes generators (grid.axis_images,
+percolation.weak_saturation_images), which prune almost as well as the
+whole group: on the 6 x 6 grid graph with r = 2, 75,625 closures against
+65,642 for all 7 non-trivial symmetries of the square, and 239,239 with
+no images.
+
 ``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
 search or the greedy bound calls one of them once, for the closure of the
 forced vertices (of the empty set for the greedy bound).
@@ -94,10 +107,12 @@ def _edge_spread(h: Hypergraph):
     return spread
 
 
-def _first_at_size(free, spread, start, full, size, limit):
+def _first_at_size(free, spread, start, full, size, limit, images):
     # The lexicographically first percolating ``size``-subset of ``free``
     # (added to the closed state ``start``) among that size's first ``limit``
-    # positions, as (1-based position, picks), or None.
+    # positions, as (1-based position, picks), or None.  ``images`` holds,
+    # per automorphism g that maps ``free`` onto itself, the bit of g(v) for
+    # each vertex v.
     #
     # Each prefix P keeps a dead mask: closure(P), the dead mask of its
     # parent, and closure(P + y) for each vertex y whose subtree under P is
@@ -110,28 +125,48 @@ def _first_at_size(free, spread, start, full, size, limit):
     #   does C - x + y for every free y below x outside P, again an earlier
     #   candidate.  Such a y is missing only when P = free[:depth] and
     #   x = free[depth], so that one vertex is never skipped.
+    #
+    # Every frame also keeps the mask of g(P) for each image g.  An interior
+    # pick x (one that is not the candidate's last) is skipped, its subtree
+    # counted at once, when g(P + x) comes before P + x: the lowest vertex z
+    # in which they differ lies in g(P + x).  Since P + x has no vertex above
+    # x and g(P + x) has as many vertices, z is at most x.  Every completion
+    # C of P + x adds only vertices above x, so either g(C) gains a vertex
+    # below z that C lacks, or z is still the lowest difference: g(C) is a
+    # same-size candidate before C, and it percolates iff C does.
     if not size:
         return (1, []) if start == full else None
     nfree = len(free)
     position = 0
-    # One frame per prefix: [closure, dead mask, next free index to try].
-    frames = [[start, start, 0]]
+    # One frame per prefix P: [closure, dead mask, next free index to try,
+    # mask of P, mask of g(P) for each image g].
+    frames = [[start, start, 0, 0, [0] * len(images)]]
     while frames:
         frame = frames[-1]
-        state, dead, lo = frame
+        state, dead, lo, prefix, prefix_images = frame
         depth = len(frames) - 1  # the prefix is free[:depth] iff lo == depth
         after = size - depth - 1  # vertices still to pick after the next one
         if after:
             i = lo
-            while i < nfree - after and i != depth and dead >> free[i] & 1:
+            while i < nfree - after:
+                v = free[i]
+                if i == depth or not dead >> v & 1:
+                    picked = prefix | 1 << v
+                    mapped = [m | bits[v] for m, bits in zip(prefix_images, images)]
+                    for m in mapped:
+                        diff = m ^ picked
+                        if diff & -diff & m:
+                            break  # g(picked) comes first: skip v
+                    else:
+                        break  # no image comes first: pick v
                 position += math.comb(nfree - 1 - i, after)
                 if position > limit:
                     return None
                 i += 1
             if i < nfree - after:
                 frame[2] = i + 1
-                reached = spread(state, free[i])
-                frames.append([reached, dead | reached, i + 1])
+                reached = spread(state, v)
+                frames.append([reached, dead | reached, i + 1, picked, mapped])
                 continue
         else:
             for i in range(lo, nfree):
@@ -151,10 +186,30 @@ def _first_at_size(free, spread, start, full, size, limit):
     return None
 
 
-def _min_subset_search(num_vertices, spread, start, mandatory, budget):
-    # ``start`` is the closure of the mandatory set.  The sizes are searched
-    # downward (see the module docstring); ``tested`` is the answer's
-    # position in the plain ascending scan.
+def _image_bits(images, num_vertices, maps_onto_itself, mandatory):
+    # Each image g as the list of bits 1 << g(v) per vertex v, once it is
+    # checked to permute the vertex ids, to map the edges or adjacency onto
+    # themselves (``maps_onto_itself``) and the mandatory set onto itself.
+    ids = list(range(num_vertices))
+    forced = set(mandatory)
+    checked = []
+    for number, image in enumerate(images):
+        image = tuple(map(operator.index, image))
+        if sorted(image) != ids:
+            raise ValueError(f"image {number} is not a permutation of the vertex ids 0..{num_vertices - 1}")
+        if not maps_onto_itself(image):
+            raise ValueError(f"image {number} is not an automorphism: it moves an edge off the edge set")
+        if {image[v] for v in forced} != forced:
+            raise ValueError(f"image {number} does not map the forced vertices onto themselves")
+        checked.append([1 << w for w in image])
+    return checked
+
+
+def _min_subset_search(num_vertices, spread, start, mandatory, budget, images):
+    # ``start`` is the closure of the mandatory set, ``images`` the checked
+    # bits of _image_bits.  The sizes are searched downward (see the module
+    # docstring); ``tested`` is the answer's position in the plain ascending
+    # scan.
     budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -170,16 +225,16 @@ def _min_subset_search(num_vertices, spread, start, mandatory, budget):
     while len(before) <= nfree and before[-1] < budget:
         before.append(before[-1] + math.comb(nfree, len(before) - 1))
     size = bisect.bisect_left(before, budget) - 1
-    found = _first_at_size(free, spread, start, full, size, budget - before[size])
+    found = _first_at_size(free, spread, start, full, size, budget - before[size], images)
     if found is None and size:
         # No size-set percolates within the budget; the minimum is within it
         # only if it is smaller, so the size below must hold a percolating set.
         size -= 1
-        found = _first_at_size(free, spread, start, full, size, math.inf)
+        found = _first_at_size(free, spread, start, full, size, math.inf, images)
     if found is None:
         raise SearchBudgetExceeded(budget, budget)
     while size:
-        smaller = _first_at_size(free, spread, start, full, size - 1, math.inf)
+        smaller = _first_at_size(free, spread, start, full, size - 1, math.inf, images)
         if smaller is None:
             break
         size -= 1
@@ -189,7 +244,7 @@ def _min_subset_search(num_vertices, spread, start, mandatory, budget):
     return SearchResult(len(witness), tuple(sorted(witness)), before[size] + position)
 
 
-def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
+def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images=()) -> SearchResult:
     """Smallest percolating set, by exhaustive subset search.
 
     Vertices that lie in no edge can never be infected, so they are forced
@@ -200,11 +255,23 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET) -> Sea
     and ValueError for a negative ``budget``.  The sizes are searched
     downward from the largest the budget reaches, so only the size below
     the minimum is walked in full.
+
+    ``images`` are automorphisms of h, each a sequence whose entry v is the
+    id vertex v maps to (``grid.axis_images`` for a grid family,
+    ``percolation.weak_saturation_images`` for weak saturation).  Before any
+    search work each is checked to permute the ids, to map the edge set onto
+    itself and the forced vertices onto themselves, or ValueError is raised.
+    The search skips candidates that an image maps to an earlier one; the
+    results are those of the plain scan for any set of images.
     """
     covered = set(itertools.chain.from_iterable(h.edges))
     mandatory = [v for v in range(h.num_vertices) if v not in covered]
+    edges = set(h.edges)
+    images = _image_bits(
+        images, h.num_vertices, lambda g: {tuple(sorted(g[v] for v in e)) for e in edges} == edges, mandatory
+    )
     start = _mask(closure(h, mandatory).final)
-    return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget)
+    return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget, images)
 
 
 class Graph:
@@ -307,18 +374,29 @@ def _neighbour_spread(g: Graph, r: int):
     return spread
 
 
-def min_r_neighbour_percolating(g: Graph, r: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
+def min_r_neighbour_percolating(
+    g: Graph, r: int, *, budget: int = DEFAULT_BUDGET, images=()
+) -> SearchResult:
     """Exhaustive minimum percolating set for the r-neighbour process.
 
-    Same enumeration scheme and errors as min_percolating_exact; vertices of
-    degree < r can never be infected, so they are forced into every candidate.
+    Same enumeration scheme, errors and ``images`` as min_percolating_exact,
+    each image checked to map the adjacency onto itself
+    (``grid.axis_images`` of the dims for a grid graph, of (2,) * d for the
+    d-cube); vertices of degree < r can never be infected, so they are
+    forced into every candidate.
     """
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
+    images = _image_bits(
+        images,
+        g.num_vertices,
+        lambda p: all(tuple(sorted(p[w] for w in ws)) == g.adj[p[u]] for u, ws in enumerate(g.adj)),
+        mandatory,
+    )
     start = _mask(r_neighbour_closure(g, mandatory, r))
-    return _min_subset_search(g.num_vertices, _neighbour_spread(g, r), start, mandatory, budget)
+    return _min_subset_search(g.num_vertices, _neighbour_spread(g, r), start, mandatory, budget, images)
 
 
 def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gridperc.grid import (
     FAMILIES,
     GridSpec,
+    axis_images,
     count_edges,
     decode_vertex,
     encode_vertex,
@@ -270,3 +271,36 @@ class TestExtremal:
                 for d in range(1, 7):
                     spec = GridSpec.cube(n, d, t, d)
                     assert extremal_size(spec) == n**d - (n + 1 - t) ** d
+
+
+class TestAxisImages:
+    @given(grid_specs())
+    def test_reflections_then_equal_adjacent_swaps(self, spec):
+        # Built through the codec, independently of the stride arithmetic.
+        def image(move):
+            return tuple(encode_vertex(spec, move(list(v))) for v in vertices(spec))
+
+        def reflect(k):
+            return lambda v: v[:k] + [spec.dims[k] + 1 - v[k]] + v[k + 1:]
+
+        def swap(k):
+            return lambda v: v[:k] + [v[k + 1], v[k]] + v[k + 2:]
+
+        expected = [image(reflect(k)) for k in range(spec.d)] + [
+            image(swap(k))
+            for k in range(spec.d - 1)
+            if (spec.dims[k], spec.thick[k]) == (spec.dims[k + 1], spec.thick[k + 1])
+        ]
+        assert axis_images(spec.dims, spec.thick) == expected
+        for family in FAMILIES:
+            edges = {edge[3] for edge in enumerate_edges(spec, family)}
+            for g in expected:
+                assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
+
+    def test_counts(self):
+        assert len(axis_images((3, 3, 3), (2, 2, 2))) == 5
+        assert len(axis_images((3, 3, 3), (2, 3, 2))) == 3
+        assert len(axis_images((3, 3, 3))) == 5
+        # An axis of length 1 has no reflection; the grid graph allows it.
+        assert axis_images((1, 3)) == [(2, 1, 0)]
+

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -20,6 +21,7 @@ from gridperc.percolation import (
     parse_hypergraph,
     percolates,
     weak_saturation_hypergraph,
+    weak_saturation_images,
 )
 from gridperc.search import min_percolating_exact
 from oracles import format_hypergraph, reference_closure
@@ -196,6 +198,18 @@ class TestWeakSaturation:
     def test_minimum_on_k4(self):
         res = min_percolating_exact(weak_saturation_hypergraph(4, 3))
         assert res.minimum == 3
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 3), (5, 3), (5, 4), (6, 4)])
+    def test_images_are_adjacent_vertex_transpositions(self, n, k):
+        pairs = list(itertools.combinations(range(n), 2))
+        images = weak_saturation_images(n)
+        assert len(images) == n - 1
+        edges = set(weak_saturation_hypergraph(n, k).edges)
+        for i, image in enumerate(images):
+            swap = {i: i + 1, i + 1: i}
+            for p, q in zip(pairs, image):
+                assert pairs[q] == tuple(sorted(swap.get(a, a) for a in p))
+            assert {tuple(sorted(image[v] for v in e)) for e in edges} == edges
 
     def test_validation(self):
         with pytest.raises(ValueError):

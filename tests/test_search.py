@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridperc import search
-from gridperc.grid import GridSpec, extremal_size
-from gridperc.percolation import Hypergraph, closure, grid_hypergraph, percolates
+from gridperc import cli, search
+from gridperc.grid import GridSpec, axis_images, extremal_size
+from gridperc.percolation import (
+    Hypergraph,
+    closure,
+    grid_hypergraph,
+    percolates,
+    weak_saturation_hypergraph,
+    weak_saturation_images,
+)
 from gridperc.search import (
     DEFAULT_BUDGET,
     Graph,
@@ -113,27 +120,94 @@ def first_percolating(free, mandatory, percolates_fn, size):
     return None
 
 
-def size_search(num_vertices, spread, start, mandatory):
-    """The free vertices and _first_at_size bound to one process."""
+def size_search(num_vertices, spread, start, mandatory, images):
+    """The free vertices and _first_at_size bound to one process and its
+    images."""
     free = [v for v in range(num_vertices) if v not in mandatory]
     full = (1 << num_vertices) - 1
+    bits = [[1 << w for w in image] for image in images]
 
     def first(size, limit=math.inf):
-        return search._first_at_size(free, spread, start, full, size, limit)
+        return search._first_at_size(free, spread, start, full, size, limit, bits)
 
     return free, first
 
 
-def hypergraph_size_search(h):
+def hypergraph_size_search(h, images=()):
     mandatory, _ = hypergraph_oracle(h)
     start = search._mask(closure(h, mandatory).final)
-    return size_search(h.num_vertices, search._edge_spread(h), start, mandatory)
+    return size_search(h.num_vertices, search._edge_spread(h), start, mandatory, images)
 
 
-def graph_size_search(g, r):
+def graph_size_search(g, r, images=()):
     mandatory, _ = graph_oracle(g, r)
     start = search._mask(r_neighbour_closure(g, mandatory, r))
-    return size_search(g.num_vertices, search._neighbour_spread(g, r), start, mandatory)
+    return size_search(g.num_vertices, search._neighbour_spread(g, r), start, mandatory, images)
+
+
+@st.composite
+def orbit_closed_hypergraphs(draw, max_vertices=8, max_edges=6):
+    """A hypergraph whose edge set is closed under a random permutation p,
+    with p, p**2 and p**3 as its images: automorphisms that need not be
+    involutions and may move vertices in long cycles."""
+    h = draw(hypergraphs(max_vertices=max_vertices, max_edges=max_edges))
+    p = draw(st.permutations(range(h.num_vertices)))
+    edges = set()
+    for e in h.edges:
+        while e not in edges:
+            edges.add(e)
+            e = tuple(sorted(p[v] for v in e))
+    powers = [tuple(p)]
+    while len(powers) < 3:
+        powers.append(tuple(p[v] for v in powers[-1]))
+    return Hypergraph(h.num_vertices, sorted(edges)), powers
+
+
+@st.composite
+def symmetric_instances(draw):
+    """A grid graph, grid hypergraph (K or P, equal and unequal axes),
+    hypercube, weak saturation hypergraph or orbit-closed hypergraph with a
+    random subset of its images, as (graph or hypergraph, r or None,
+    images).  At most 10 vertices, so a plain scan of every candidate stays
+    small."""
+    kind = draw(st.sampled_from(["grid", "hypercube", "family", "wsat", "orbit"]))
+    if kind == "grid":
+        dims = draw(st.sampled_from([(4,), (2, 2), (2, 3), (3, 3), (2, 4), (1, 3, 3), (2, 2, 2), (2, 5)]))
+        structure, r, images = grid_graph(dims), draw(st.integers(1, 3)), axis_images(dims)
+    elif kind == "hypercube":
+        d = draw(st.integers(1, 3))
+        structure, r, images = hypercube_graph(d), draw(st.integers(1, 3)), axis_images((2,) * d)
+    elif kind == "family":
+        dims = draw(st.sampled_from([(4,), (3, 3), (2, 4), (2, 2, 2), (3, 2), (2, 5)]))
+        thick = tuple(draw(st.integers(2, n)) for n in dims)
+        spec = GridSpec(dims, thick, draw(st.integers(1, len(dims))))
+        structure = grid_hypergraph(spec, draw(st.sampled_from(["K", "P"])))
+        r, images = None, axis_images(dims, thick)
+    elif kind == "wsat":
+        n = draw(st.integers(2, 5))
+        structure = weak_saturation_hypergraph(n, draw(st.integers(2, n)))
+        r, images = None, weak_saturation_images(n)
+    else:
+        structure, images = draw(orbit_closed_hypergraphs())
+        r = None
+    return structure, r, [image for image in images if draw(st.booleans())]
+
+
+def exhaustive(structure, r, budget=DEFAULT_BUDGET, images=()):
+    """The exhaustive search for a hypergraph (r None) or graph."""
+    if r is None:
+        return min_percolating_exact(structure, budget=budget, images=images)
+    return min_r_neighbour_percolating(structure, r, budget=budget, images=images)
+
+
+def oracle(structure, r):
+    return hypergraph_oracle(structure) if r is None else graph_oracle(structure, r)
+
+
+def instance_size_search(structure, r, images):
+    if r is None:
+        return hypergraph_size_search(structure, images)
+    return graph_size_search(structure, r, images)
 
 
 def naive_minimum(h):
@@ -188,9 +262,9 @@ class TestMinPercolatingExact:
         sizes = []
         walk = search._first_at_size
 
-        def recorder(free, spread, start, full, size, limit):
+        def recorder(free, spread, start, full, size, limit, images):
             sizes.append(size)
-            return walk(free, spread, start, full, size, limit)
+            return walk(free, spread, start, full, size, limit, images)
 
         monkeypatch.setattr(search, "_first_at_size", recorder)
         res = min_percolating_exact(grid_hypergraph(GridSpec.cube(4, 2, 3, 2), "K"))
@@ -358,6 +432,14 @@ class TestFirstAtSize:
         for size in range(len(free) + 1):
             assert first(size) == first_percolating(free, mandatory, perc, size)
 
+    @given(symmetric_instances())
+    def test_with_images(self, instance):
+        structure, r, images = instance
+        mandatory, perc = oracle(structure, r)
+        free, first = instance_size_search(structure, r, images)
+        for size in range(len(free) + 1):
+            assert first(size) == first_percolating(free, mandatory, perc, size)
+
 
 class TestAgainstPlainScan:
     """The prefix-closure searches and the mask-based greedy bound agree
@@ -390,6 +472,12 @@ class TestAgainstPlainScan:
             lambda budget: min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "P"), budget=budget),
             lambda budget: min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 1), "K"), budget=budget),
             lambda budget: min_r_neighbour_percolating(hypercube_graph(3), 2, budget=budget),
+            lambda budget: min_r_neighbour_percolating(
+                grid_graph((3, 3)), 2, budget=budget, images=axis_images((3, 3))
+            ),
+            lambda budget: min_percolating_exact(
+                grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "P"), budget=budget, images=axis_images((3, 3), (2, 2))
+            ),
         ],
     )
     def test_every_budget(self, search):
@@ -401,9 +489,81 @@ class TestAgainstPlainScan:
             expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
             assert outcome(search, budget) == expected
 
+    @given(symmetric_instances(), st.data())
+    def test_search_with_images(self, instance, data):
+        structure, r, images = instance
+        mandatory, perc = oracle(structure, r)
+        n = structure.num_vertices
+        assert exhaustive(structure, r, images=images) == plain_scan(n, perc, mandatory, DEFAULT_BUDGET)
+        budget = data.draw(st.integers(0, 2**n + 1), label="budget")
+        assert outcome(exhaustive, structure, r, budget, images) == outcome(plain_scan, n, perc, mandatory, budget)
+
     @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
     def test_r_neighbour_greedy(self, g, r, trials, seed):
         _, perc = graph_oracle(g, r)
         assert greedy_r_neighbour_upper_bound(g, r, trials, seed) == plain_greedy(
             g.num_vertices, perc, trials, seed
         )
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("search work started before the images were checked")
+
+
+class TestImages:
+    """Images are checked to be automorphisms before any search work."""
+
+    # Corner 2 and edge midpoint 1 of the 3 x 3 grid swapped: degrees 2 and 3.
+    CORNER_MIDPOINT = (0, 2, 1, 3, 4, 5, 6, 7, 8)
+
+    @pytest.mark.parametrize(
+        "image",
+        [tuple(range(8)), (0, 0, 2, 3, 4, 5, 6, 7, 8), tuple(range(1, 10)), CORNER_MIDPOINT],
+        ids=["wrong-length", "repeated-id", "id-out-of-range", "corner-midpoint"],
+    )
+    def test_non_automorphism_is_rejected(self, monkeypatch, image):
+        for name in ("_min_subset_search", "_first_at_size", "closure", "r_neighbour_closure"):
+            monkeypatch.setattr(search, name, fail_if_called)
+        good = axis_images((3, 3))
+        with pytest.raises(ValueError, match="image 1"):
+            min_r_neighbour_percolating(grid_graph((3, 3)), 2, images=[good[0], image])
+        with pytest.raises(ValueError, match="image 0"):
+            min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "P"), images=[image])
+
+    def test_accepting_the_corner_midpoint_swap_would_change_the_answer(self, monkeypatch):
+        g = grid_graph((3, 3))
+        expected = min_r_neighbour_percolating(g, 2)
+        assert expected == SearchResult(3, (0, 2, 6), 57)
+        assert min_r_neighbour_percolating(g, 2, images=axis_images((3, 3))) == expected
+        monkeypatch.setattr(
+            search, "_image_bits", lambda images, *rest: [[1 << w for w in image] for image in images]
+        )
+        unchecked = min_r_neighbour_percolating(g, 2, images=[self.CORNER_MIDPOINT])
+        assert unchecked != expected
+        assert unchecked.tested == 68
+
+    def test_forced_vertices_must_map_onto_themselves(self):
+        with pytest.raises(ValueError, match="forced"):
+            search._image_bits([(1, 0, 2)], 3, lambda image: True, [0])
+        assert search._image_bits([(0, 2, 1)], 3, lambda image: True, [0]) == [[1, 4, 2]]
+
+    def test_six_by_six_search_uses_the_square_symmetries(self, monkeypatch, capsys):
+        # 239,239 spread calls with no images; the CLI passes the square's.
+        calls = 0
+        make_spread = search._neighbour_spread
+
+        def counting_spread(g, r):
+            spread = make_spread(g, r)
+
+            def counted(state, v):
+                nonlocal calls
+                calls += 1
+                return spread(state, v)
+
+            return counted
+
+        monkeypatch.setattr(search, "_neighbour_spread", counting_spread)
+        assert cli.main(["rneighbour", "--grid", "6,6", "--r", "2", "--exhaustive"]) == 0
+        assert '"minimum": 6' in capsys.readouterr().out
+        assert calls < 120_000
+
