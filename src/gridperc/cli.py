@@ -180,11 +180,11 @@ def _cmd_audit(args):
     if args.infected is not None:
         vertices = [decode_vertex(spec, i) for i in _int_list(args.infected)]
     else:
-        vertices = extremal_set(spec)
+        vertices = cert.context.u_vertices
     if args.remove:
         drop = {decode_vertex(spec, i) for i in _int_list(args.remove)}
         vertices = [v for v in vertices if v not in drop]
-    report = audit_percolating_set(cert, vertices, family=args.family)
+    report = audit_percolating_set(cert, vertices)
     payload = {
         "family": args.family,
         "initialSize": report.initial_size,
@@ -209,7 +209,7 @@ def _cmd_minperc(args):
         }
     else:
         cert = certified_lower_bound(spec, args.family)
-        witness = sorted(encode_vertex(spec, v) for v in extremal_set(spec))
+        witness = sorted(encode_vertex(spec, v) for v in cert.context.u_vertices)
         run = closure(h, witness)
         if len(run.final) != h.num_vertices:
             raise CertificateError("extremal set failed to percolate")
@@ -234,7 +234,6 @@ def _cmd_rneighbour(args):
     else:
         g = hypercube_graph(args.hypercube)
         desc = {"kind": "hypercube", "d": args.hypercube}
-        # The d-cube is the 2 x ... x 2 grid graph, with the same ids.
         dims = (2,) * args.hypercube
     payload = {"graph": desc, "r": args.r}
     if args.exhaustive:
@@ -399,8 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         payload, table, code = args.handler(args)
         if table is not None and args.format == "csv":

@@ -32,9 +32,9 @@ vertex below x, so that one vertex is never skipped.
 
 A caller may also pass images: automorphisms of the hypergraph or graph,
 each checked before any search work to permute the vertex ids and to map
-the edges (or the adjacency) and the forced vertices onto themselves.  A
-candidate whose prefix an image maps to a same-size set that comes earlier
-in the scan is skipped, its subtree counted at once.  The first percolating
+the edges (or the adjacency), and so the forced vertices, onto themselves.
+A candidate whose prefix an image maps to a same-size set that comes
+earlier in the scan is skipped, its subtree counted at once.  The first percolating
 set S* is never skipped: an image g(S*) percolates too, so g(S*) cannot
 come before S*.  Any set of automorphisms gives the answers of the plain
 scan; the CLI passes generators (grid.axis_images,
@@ -59,7 +59,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import row_major_strides
+from .grid import GridSpec, enumerate_edges
 from .percolation import Hypergraph, closure
 
 DEFAULT_BUDGET = 10_000_000
@@ -186,12 +186,12 @@ def _first_at_size(free, spread, start, full, size, limit, images):
     return None
 
 
-def _image_bits(images, num_vertices, maps_onto_itself, mandatory):
+def _image_bits(images, num_vertices, maps_onto_itself):
     # Each image g as the list of bits 1 << g(v) per vertex v, once it is
-    # checked to permute the vertex ids, to map the edges or adjacency onto
-    # themselves (``maps_onto_itself``) and the mandatory set onto itself.
+    # checked to permute the ids and to map the edges or adjacency onto
+    # themselves (``maps_onto_itself``).  That maps the forced vertices onto
+    # themselves too: such a g keeps the covered vertices, or every degree.
     ids = list(range(num_vertices))
-    forced = set(mandatory)
     checked = []
     for number, image in enumerate(images):
         image = tuple(map(operator.index, image))
@@ -199,8 +199,6 @@ def _image_bits(images, num_vertices, maps_onto_itself, mandatory):
             raise ValueError(f"image {number} is not a permutation of the vertex ids 0..{num_vertices - 1}")
         if not maps_onto_itself(image):
             raise ValueError(f"image {number} is not an automorphism: it moves an edge off the edge set")
-        if {image[v] for v in forced} != forced:
-            raise ValueError(f"image {number} does not map the forced vertices onto themselves")
         checked.append([1 << w for w in image])
     return checked
 
@@ -259,17 +257,15 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images
     ``images`` are automorphisms of h, each a sequence whose entry v is the
     id vertex v maps to (``grid.axis_images`` for a grid family,
     ``percolation.weak_saturation_images`` for weak saturation).  Before any
-    search work each is checked to permute the ids, to map the edge set onto
-    itself and the forced vertices onto themselves, or ValueError is raised.
+    search work each is checked to permute the ids and to map the edge set,
+    and so the forced vertices, onto itself, or ValueError is raised.
     The search skips candidates that an image maps to an earlier one; the
     results are those of the plain scan for any set of images.
     """
     covered = set(itertools.chain.from_iterable(h.edges))
     mandatory = [v for v in range(h.num_vertices) if v not in covered]
     edges = set(h.edges)
-    images = _image_bits(
-        images, h.num_vertices, lambda g: {tuple(sorted(g[v] for v in e)) for e in edges} == edges, mandatory
-    )
+    images = _image_bits(images, h.num_vertices, lambda g: {tuple(sorted(g[v] for v in e)) for e in edges} == edges)
     start = _mask(closure(h, mandatory).final)
     return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget, images)
 
@@ -304,29 +300,25 @@ class Graph:
 def grid_graph(dims) -> Graph:
     """Axis-aligned grid graph on [n_1] x ... x [n_d].
 
-    Vertices are row-major ids of the 1-based coordinate tuples, from the
-    grid codec's strides (axes of length 1 are allowed here); two vertices
-    are adjacent iff their tuples differ by exactly 1 in one axis.
+    Vertices are the codec's row-major ids of the 1-based coordinate tuples;
+    two are adjacent iff their tuples differ by exactly 1 in one axis.  The
+    edges are the "P" family with thickness 2 and copy rank 1 on the axes
+    longer than 1 (an axis of length 1 holds no edge and moves no id).
     """
     dims = tuple(operator.index(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"axis lengths must be >= 1, got {dims}")
-    strides = row_major_strides(dims)
-    edges = []
-    for coords in itertools.product(*(range(1, n + 1) for n in dims)):
-        vid = sum((x - 1) * s for x, s in zip(coords, strides))
-        for x, n, s in zip(coords, dims, strides):
-            if x < n:
-                edges.append((vid, vid + s))
-    return Graph(math.prod(dims), edges)
+    long = tuple(n for n in dims if n > 1)
+    edges = enumerate_edges(GridSpec(long, (2,) * len(long), 1), "P") if long else ()
+    return Graph(math.prod(dims), (ids for *_, ids in edges))
 
 
 def hypercube_graph(d: int) -> Graph:
-    """d-dimensional hypercube on ids 0..2^d - 1, adjacency by single bit flips."""
+    """d-dimensional hypercube: grid_graph((2,) * d), the "P" family with
+    thickness 2 and copy rank 1; ids 0..2^d - 1, adjacent iff one bit differs."""
     if d < 1:
         raise ValueError(f"dimension {d} < 1")
-    edges = [(b, b | (1 << i)) for b in range(1 << d) for i in range(d) if not b & (1 << i)]
-    return Graph(1 << d, edges)
+    return grid_graph((2,) * d)
 
 
 def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
@@ -393,7 +385,6 @@ def min_r_neighbour_percolating(
         images,
         g.num_vertices,
         lambda p: all(tuple(sorted(p[w] for w in ws)) == g.adj[p[u]] for u, ws in enumerate(g.adj)),
-        mandatory,
     )
     start = _mask(r_neighbour_closure(g, mandatory, r))
     return _min_subset_search(g.num_vertices, _neighbour_spread(g, r), start, mandatory, budget, images)

@@ -2,20 +2,23 @@
 tests need.
 
 Each reference is the straightforward form of a kernel the library
-optimizes, kept here so tests can require the library to give exactly the
-same results.  The helpers (coordinate projection, per-vertex edge
-coefficients, the hypergraph text writer and span membership) have no
-caller in the library.
+optimizes or builds another way, kept here so tests can require the library
+to give exactly the same results.  The helpers (coordinate projection,
+per-vertex edge coefficients, the hypergraph text writer and span
+membership) have no caller in the library.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from collections import deque
 
 from gridperc.exact import dependency_coeffs
-from gridperc.grid import encode_vertex
+from gridperc.grid import encode_vertex, row_major_strides
 from gridperc.percolation import ClosureResult
+from gridperc.search import Graph
 
 
 class ReferenceBasis:
@@ -101,6 +104,25 @@ def reference_closure(h, initial) -> ClosureResult:
 
     final = frozenset(i for i, flag in enumerate(infected) if flag)
     return ClosureResult(frozenset(init), final, tuple(trace))
+
+
+def reference_grid_graph(dims) -> Graph:
+    """Grid graph on [n_1] x ... x [n_d] built by a coordinate loop: each
+    vertex links to the next one along every axis, one stride further."""
+    strides = row_major_strides(dims)
+    edges = []
+    for coords in itertools.product(*(range(1, n + 1) for n in dims)):
+        vid = sum((x - 1) * s for x, s in zip(coords, strides))
+        for x, n, s in zip(coords, dims, strides):
+            if x < n:
+                edges.append((vid, vid + s))
+    return Graph(math.prod(dims), edges)
+
+
+def reference_hypercube_graph(d) -> Graph:
+    """d-cube on ids 0..2^d - 1, each id linked to every id one bit flip away."""
+    edges = [(b, b | (1 << i)) for b in range(1 << d) for i in range(d) if not b & (1 << i)]
+    return Graph(1 << d, edges)
 
 
 def in_span(basis, vector) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -344,6 +345,22 @@ class TestParser:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = ["formula", "--d", "2", "--r", "2", "--n", "3", "--t", "2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("main built another ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", fail)
+        with pytest.raises(SystemExit) as err:
+            main(["frobnicate"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["formula", "--d", "2", "--r", "1", "--n", "3", "--t", "2", "--bogus"])
@@ -481,6 +498,10 @@ GOLDEN = {
         (0, "2674d64b686c79e0aa126335add6bb7cbf7e0c344bdda348d102e3550d4b778c"),
     "rneighbour --hypercube 3 --r 2 --exhaustive":
         (0, "eccc66008670d7181a473ea2b38ed7e9e46adef172138d16b728c528bffb29a5"),
+    "rneighbour --grid 1,4,1 --r 2 --exhaustive":
+        (0, "d44522a85e8cdf06fd4fb64dfc2020ffe06a616c5412ec974c4bdc75219bfdd1"),
+    "rneighbour --grid 3,1,3 --r 2 --exhaustive":
+        (0, "28712f0c8d23377c3ed8a989066a2c458f51af8ab1ca54ac3b02abcd2093c87f"),
     "rneighbour --grid 3,3 --r 2 --exhaustive --budget 10":
         (3, "b8758b6eb5ddf8fbecc23fdd94f88bdb94b45e1ccf17d2aefd6d144bc999b04a"),
     "rneighbour --r 2":

@@ -29,6 +29,7 @@ from gridperc.search import (
     min_r_neighbour_percolating,
     r_neighbour_closure,
 )
+from oracles import reference_grid_graph, reference_hypercube_graph
 
 
 def reachable_from(g, sources):
@@ -294,6 +295,15 @@ class TestGraphs:
     def test_two_sided_grid_is_hypercube(self, d):
         assert grid_graph((2,) * d).adj == hypercube_graph(d).adj
 
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    def test_grid_matches_the_stride_builder(self, dims):
+        # Axes of length 1 included, down to the edgeless all-ones grid.
+        assert grid_graph(dims).adj == reference_grid_graph(dims).adj
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_hypercube_matches_the_bit_flip_builder(self, d):
+        assert hypercube_graph(d).adj == reference_hypercube_graph(d).adj
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 0)])
@@ -542,10 +552,36 @@ class TestImages:
         assert unchecked != expected
         assert unchecked.tested == 68
 
-    def test_forced_vertices_must_map_onto_themselves(self):
-        with pytest.raises(ValueError, match="forced"):
-            search._image_bits([(1, 0, 2)], 3, lambda image: True, [0])
-        assert search._image_bits([(0, 2, 1)], 3, lambda image: True, [0]) == [[1, 4, 2]]
+    @pytest.mark.parametrize(
+        "search_fn, structure, forced, moved, automorphisms",
+        [
+            # The 3 x 3 grid graph with r = 3: the corners have degree 2.  The
+            # permutations move the 7 vertices other than the centre and
+            # corner 8; the identity and the 0-4-8 diagonal flip are accepted.
+            (lambda g, images: min_r_neighbour_percolating(g, 3, images=images),
+             grid_graph((3, 3)), {0, 2, 6, 8}, [0, 1, 2, 3, 5, 6, 7], 2),
+            # Vertices 5 and 6 lie in no edge; 0 <-> 1, 3 <-> 4, the swap of the
+            # two edges and 5 <-> 6 generate 16 automorphisms.
+            (lambda h, images: min_percolating_exact(h, images=images),
+             Hypergraph(7, [(0, 1, 2), (2, 3, 4)]), {5, 6}, list(range(7)), 16),
+        ],
+        ids=["grid-r3", "hypergraph"],
+    )
+    def test_accepted_images_map_forced_vertices_onto_themselves(
+        self, search_fn, structure, forced, moved, automorphisms
+    ):
+        accepted = 0
+        for targets in itertools.permutations(moved):
+            image = list(range(structure.num_vertices))
+            for v, w in zip(moved, targets):
+                image[v] = w
+            try:
+                search_fn(structure, [image])
+            except ValueError:
+                continue
+            accepted += 1
+            assert {image[v] for v in forced} == forced
+        assert accepted == automorphisms
 
     def test_six_by_six_search_uses_the_square_symmetries(self, monkeypatch, capsys):
         # 239,239 spread calls with no images; the CLI passes the square's.
