@@ -32,20 +32,20 @@ vertex below x, so that one vertex is never skipped.
 
 A caller may also pass images: automorphisms of the hypergraph or graph,
 each checked before any search work to permute the vertex ids and to map
-the edges (or the adjacency), and so the forced vertices, onto themselves.
-A candidate whose prefix an image maps to a same-size set that comes
-earlier in the scan is skipped, its subtree counted at once.  The first percolating
-set S* is never skipped: an image g(S*) percolates too, so g(S*) cannot
-come before S*.  Any set of automorphisms gives the answers of the plain
-scan; the CLI passes generators (grid.axis_images,
+the edge set (for a graph, its adjacent pairs), and so the forced vertices,
+onto itself.  A candidate whose prefix an image maps to a same-size set that
+comes earlier in the scan is skipped, its subtree counted at once.  The
+first percolating set S* is never skipped: an image g(S*) percolates too,
+so g(S*) cannot come before S*.  Any set of automorphisms gives the answers
+of the plain scan; the CLI passes generators (grid.axis_images,
 percolation.weak_saturation_images), which prune almost as well as the
 whole group: on the 6 x 6 grid graph with r = 2, 75,625 closures against
-65,642 for all 7 non-trivial symmetries of the square, and 239,239 with
-no images.
+65,642 for all 7 non-trivial symmetries of the square, and 239,239 with no
+images.
 
 ``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
-search or the greedy bound calls one of them once, for the closure of the
-forced vertices (of the empty set for the greedy bound).
+search calls one of them once, for the closure of the forced vertices.  The
+greedy bound needs neither: for r >= 1 the empty set is closed.
 """
 
 from __future__ import annotations
@@ -186,18 +186,20 @@ def _first_at_size(free, spread, start, full, size, limit, images):
     return None
 
 
-def _image_bits(images, num_vertices, maps_onto_itself):
+def _image_bits(images, num_vertices, edges):
     # Each image g as the list of bits 1 << g(v) per vertex v, once it is
-    # checked to permute the ids and to map the edges or adjacency onto
-    # themselves (``maps_onto_itself``).  That maps the forced vertices onto
-    # themselves too: such a g keeps the covered vertices, or every degree.
+    # checked to permute the ids and to map the edge set ``edges`` (sorted id
+    # tuples; a graph's adjacent pairs) onto itself.  A permutation of a
+    # simple graph keeps adjacency iff it does that.  Such a g keeps the
+    # covered vertices, or every degree, and so the forced vertices.
+    edges = set(edges)
     ids = list(range(num_vertices))
     checked = []
     for number, image in enumerate(images):
         image = tuple(map(operator.index, image))
         if sorted(image) != ids:
             raise ValueError(f"image {number} is not a permutation of the vertex ids 0..{num_vertices - 1}")
-        if not maps_onto_itself(image):
+        if {tuple(sorted(image[v] for v in e)) for e in edges} != edges:
             raise ValueError(f"image {number} is not an automorphism: it moves an edge off the edge set")
         checked.append([1 << w for w in image])
     return checked
@@ -264,8 +266,7 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images
     """
     covered = set(itertools.chain.from_iterable(h.edges))
     mandatory = [v for v in range(h.num_vertices) if v not in covered]
-    edges = set(h.edges)
-    images = _image_bits(images, h.num_vertices, lambda g: {tuple(sorted(g[v] for v in e)) for e in edges} == edges)
+    images = _image_bits(images, h.num_vertices, h.edges)
     start = _mask(closure(h, mandatory).final)
     return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget, images)
 
@@ -372,20 +373,16 @@ def min_r_neighbour_percolating(
     """Exhaustive minimum percolating set for the r-neighbour process.
 
     Same enumeration scheme, errors and ``images`` as min_percolating_exact,
-    each image checked to map the adjacency onto itself
-    (``grid.axis_images`` of the dims for a grid graph, of (2,) * d for the
-    d-cube); vertices of degree < r can never be infected, so they are
-    forced into every candidate.
+    each image checked to map the edge set, the adjacent pairs (u, w) with
+    u < w, onto itself (``grid.axis_images`` of the dims for a grid graph,
+    of (2,) * d for the d-cube); vertices of degree < r can never be
+    infected, so they are forced into every candidate.
     """
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
-    images = _image_bits(
-        images,
-        g.num_vertices,
-        lambda p: all(tuple(sorted(p[w] for w in ws)) == g.adj[p[u]] for u, ws in enumerate(g.adj)),
-    )
+    images = _image_bits(images, g.num_vertices, ((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w))
     start = _mask(r_neighbour_closure(g, mandatory, r))
     return _min_subset_search(g.num_vertices, _neighbour_spread(g, r), start, mandatory, budget, images)
 
@@ -405,10 +402,10 @@ def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int 
         raise ValueError(f"r must be >= 1, got {r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # A candidate percolates iff folding spread over it from the closure of
-    # the empty set reaches every vertex.
+    # For r >= 1 no vertex has r infected neighbours in the empty set, so the
+    # empty state 0 is closed, and a candidate percolates iff folding spread
+    # over it from 0 reaches every vertex.
     spread = _neighbour_spread(g, r)
-    empty_closure = _mask(r_neighbour_closure(g, (), r))
     n = g.num_vertices
     full = (1 << n) - 1
     rng = random.Random(seed)
@@ -419,7 +416,7 @@ def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int 
         current = set(range(n))
         for v in order:
             smaller = current - {v}
-            if functools.reduce(spread, smaller, empty_closure) == full:
+            if functools.reduce(spread, smaller, 0) == full:
                 current = smaller
         if len(current) < len(best):
             best = frozenset(current)

@@ -125,6 +125,12 @@ def reference_hypercube_graph(d) -> Graph:
     return Graph(1 << d, edges)
 
 
+def reference_keeps_adjacency(g, image) -> bool:
+    """True iff the permutation ``image`` of g's ids sends each vertex's
+    neighbours to the neighbours of its image."""
+    return all(tuple(sorted(image[w] for w in ws)) == g.adj[image[u]] for u, ws in enumerate(g.adj))
+
+
 def in_span(basis, vector) -> bool:
     """Membership test against an EliminationBasis without mutating it."""
     return not any(basis._reduce(vector))

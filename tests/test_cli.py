@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gridperc
+from gridperc import certificate, cli, percolation
 from gridperc.cli import main
 from gridperc.percolation import weak_saturation_hypergraph
 from oracles import format_hypergraph
@@ -211,6 +213,38 @@ class TestMinperc:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["K", "P"])
+    def test_witness_that_fails_to_percolate_exits_1(self, capsys, monkeypatch, family):
+        real = cli.certified_lower_bound
+
+        def one_extremal_vertex_short(spec, fam):
+            cert = real(spec, fam)
+            context = dataclasses.replace(cert.context, u_vertices=cert.context.u_vertices[1:])
+            return dataclasses.replace(cert, context=context)
+
+        monkeypatch.setattr(cli, "certified_lower_bound", one_extremal_vertex_short)
+        code = main(["minperc", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", family])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: extremal set failed to percolate\n"
+
+    @pytest.mark.parametrize("family", ["K", "P"])
+    def test_certified_mode_builds_only_the_p_hypergraph(self, capsys, monkeypatch, family):
+        # P edges are K edges, so the witness is closed on P for both families.
+        built = []
+        real = percolation.grid_hypergraph
+
+        def recording(spec, fam):
+            built.append(fam)
+            return real(spec, fam)
+
+        for module in (cli, certificate, percolation):
+            monkeypatch.setattr(module, "grid_hypergraph", recording)
+        code, data = run_json(capsys, ["minperc", "--d", "3", "--r", "2", "--n", "3", "--t", "2", "--family", family])
+        assert (code, data["family"], data["mode"]) == (0, family, "certified")
+        assert built == ["P"]
+
     def test_modes_agree(self, capsys):
         for family in ("K", "P"):
             base = ["minperc", "--d", "3", "--r", "2", "--n", "2", "--t", "2", "--family", family]
@@ -237,6 +271,14 @@ class TestRneighbour:
         assert code == 0
         assert data["mode"] == "greedy"
         assert data["upperBound"] >= 4
+
+    def test_witness_that_fails_to_percolate_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "greedy_r_neighbour_upper_bound", lambda *args, **kwargs: frozenset())
+        code = main(["rneighbour", "--grid", "3,3", "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: reported witness does not percolate\n"
 
     def test_requires_one_graph(self, capsys):
         assert main(["rneighbour", "--r", "2"]) == 2

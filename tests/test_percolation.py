@@ -57,6 +57,14 @@ def hypergraphs(draw, max_vertices=10, max_edges=12):
     return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
 
 
+@st.composite
+def small_grid_specs(draw):
+    """Grid specs with d <= 3 axes of length at most 4."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    thick = [draw(st.integers(2, n)) for n in dims]
+    return GridSpec(tuple(dims), tuple(thick), draw(st.integers(1, len(dims))))
+
+
 class TestHypergraph:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,3 +269,10 @@ class TestGridHypergraph:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "Q")
+
+    @given(small_grid_specs(), st.data())
+    def test_property_p_closure_lies_in_k_closure(self, spec, data):
+        # Every P edge is a K edge, so a set that percolates under P
+        # percolates under K; certified minperc checks its witness on P alone.
+        initial = data.draw(st.frozensets(st.integers(0, spec.num_vertices - 1)))
+        assert closure(grid_hypergraph(spec, "P"), initial).final <= closure(grid_hypergraph(spec, "K"), initial).final

@@ -29,7 +29,7 @@ from gridperc.search import (
     min_r_neighbour_percolating,
     r_neighbour_closure,
 )
-from oracles import reference_grid_graph, reference_hypercube_graph
+from oracles import reference_grid_graph, reference_hypercube_graph, reference_keeps_adjacency
 
 
 def reachable_from(g, sources):
@@ -539,6 +539,18 @@ class TestImages:
             min_r_neighbour_percolating(grid_graph((3, 3)), 2, images=[good[0], image])
         with pytest.raises(ValueError, match="image 0"):
             min_percolating_exact(grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "P"), images=[image])
+
+    @given(graphs(max_vertices=6), st.data())
+    def test_graph_images_are_checked_on_the_adjacent_pairs(self, g, data):
+        image = data.draw(st.permutations(range(g.num_vertices)))
+        try:
+            min_r_neighbour_percolating(g, 1, images=[image])
+        except ValueError as exc:
+            assert "is not an automorphism" in str(exc)
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == reference_keeps_adjacency(g, image)
 
     def test_accepting_the_corner_midpoint_swap_would_change_the_answer(self, monkeypatch):
         g = grid_graph((3, 3))
