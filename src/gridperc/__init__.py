@@ -7,7 +7,8 @@ Library layout:
   each edge's value sets and vertex ids as a plain tuple, and the extremal
   set with its closed-form size,
 * ``percolation`` -- generic hypergraph bootstrap closure with traces, plus
-  hypergraph builders and the text-format reader,
+  hypergraph builders, the edge validator for outside input and the
+  text-format reader,
 * ``exact`` -- integer-only linear algebra: general-position matrices,
   dependency coefficients, and one fraction-free elimination kernel behind
   ``det``, ``matrix_rank`` and the incremental ``EliminationBasis``,
@@ -52,6 +53,7 @@ from .grid import (
 from .percolation import (
     ClosureResult,
     Hypergraph,
+    canonical_edges,
     closure,
     grid_hypergraph,
     parse_hypergraph,
@@ -92,6 +94,7 @@ __all__ = [
     "audit_percolating_set",
     "build_context",
     "build_general_position_matrix",
+    "canonical_edges",
     "certificate_to_dict",
     "certificate_vector",
     "certified_lower_bound",

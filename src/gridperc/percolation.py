@@ -3,7 +3,8 @@
 A vertex becomes infected when some hyperedge has that vertex as its only
 uninfected member.  The closure is the unique fixed point of this monotone
 rule; the order in which firings are processed never changes the result,
-only the recorded trace.
+only the recorded trace.  ``Hypergraph`` trusts its edges to be canonical;
+outside edge lists, such as the text format's, pass ``canonical_edges`` first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .grid import GridSpec, enumerate_edges
 class Hypergraph:
     """Immutable vertex count plus hyperedge list, with a vertex->edge index.
 
-    Edges are canonicalized to sorted tuples of distinct 0-based ids; the edge
+    Edges must be canonical, each a sorted tuple of distinct 0-based ids in
+    ``[0, num_vertices)``; the constructor trusts this unchecked.  The edge
     order given at construction is preserved and is the order used for trace
     witness indices.  Edges of size 1 are allowed: their vertex is infected
     unconditionally once processing starts.
@@ -28,26 +30,33 @@ class Hypergraph:
     __slots__ = ("num_vertices", "edges", "incident")
 
     def __init__(self, num_vertices: int, edges) -> None:
-        if num_vertices < 0:
-            raise ValueError(f"negative vertex count {num_vertices}")
-        canon = []
-        for e in edges:
-            vs = sorted(set(e))
-            if not vs:
-                raise ValueError("empty hyperedge")
-            if vs[0] < 0 or vs[-1] >= num_vertices:
-                raise ValueError(f"edge {vs} has a vertex outside [0, {num_vertices})")
-            canon.append(tuple(vs))
         self.num_vertices = num_vertices
-        self.edges = tuple(canon)
+        self.edges = tuple(edges)
         incident = [[] for _ in range(num_vertices)]
         for i, e in enumerate(self.edges):
             for v in e:
                 incident[v].append(i)
-        self.incident = tuple(tuple(ix) for ix in incident)
+        self.incident = tuple(map(tuple, incident))
 
     def __repr__(self) -> str:
         return f"Hypergraph(num_vertices={self.num_vertices}, num_edges={len(self.edges)})"
+
+
+def canonical_edges(num_vertices: int, edges) -> list[tuple[int, ...]]:
+    """Bring an outside edge list to ``Hypergraph``'s canonical form: sort and
+    de-duplicate each edge's ids, and raise ValueError on a negative vertex
+    count, an empty edge or an id outside ``[0, num_vertices)``."""
+    if num_vertices < 0:
+        raise ValueError(f"negative vertex count {num_vertices}")
+    canon = []
+    for e in edges:
+        vs = sorted(set(e))
+        if not vs:
+            raise ValueError("empty hyperedge")
+        if vs[0] < 0 or vs[-1] >= num_vertices:
+            raise ValueError(f"edge {vs} has a vertex outside [0, {num_vertices})")
+        canon.append(tuple(vs))
+    return canon
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
 
     Edges and their order are those of enumerate_edges, whose ids come from
     the grid codec's row-major strides, so only the grid module knows the id
-    layout.
+    layout; they are sorted and in range, so they go in unchecked.
     """
     return Hypergraph(spec.num_vertices, (edge[3] for edge in enumerate_edges(spec, family)))
 
@@ -135,14 +144,15 @@ def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:
 
     Hypergraph vertices are the C(n,2) graph edges (pairs in lexicographic
     order); there is one hyperedge per k-clique, holding that clique's C(k,2)
-    pair ids.  A set of graph edges percolates iff the missing edges can be
-    added one at a time, each completing a k-clique.
+    pair ids, increasing since both the pairs of a clique and the ids are
+    lexicographic.  A set of graph edges percolates iff the missing edges can
+    be added one at a time, each completing a k-clique.
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     pair_id = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     hyperedges = [
-        [pair_id[p] for p in itertools.combinations(clique, 2)]
+        tuple([pair_id[p] for p in itertools.combinations(clique, 2)])
         for clique in itertools.combinations(range(n), k)
     ]
     return Hypergraph(len(pair_id), hyperedges)
@@ -166,7 +176,8 @@ def weak_saturation_images(n: int) -> list[tuple[int, ...]]:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Read the text form: header ``p <num_vertices> <num_edges>``, then one
-    line of space-separated 0-based ids per edge; blank lines are ignored."""
+    line of space-separated 0-based ids per edge, in any order, with repeats
+    dropped; blank lines are ignored."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or rows[0][:1] != ["p"] or len(rows[0]) != 3:
         raise ValueError("expected header line 'p <num_vertices> <num_edges>'")
@@ -181,7 +192,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         edges = [[int(tok) for tok in row] for row in body]
     except ValueError:
         raise ValueError("non-integer vertex id in edge line") from None
-    return Hypergraph(nv, edges)
+    return Hypergraph(nv, canonical_edges(nv, edges))
 
 
 def read_hypergraph(path) -> Hypergraph:

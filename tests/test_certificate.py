@@ -32,7 +32,7 @@ from gridperc.grid import (
     extremal_size,
     vertices,
 )
-from gridperc.percolation import Hypergraph
+from gridperc.percolation import Hypergraph, canonical_edges
 from oracles import ReferenceBasis, edge_coefficient, project, reference_closure
 
 SPEC_3222 = GridSpec.cube(3, 2, 2, 2)
@@ -83,14 +83,16 @@ def edge_vertices(spec, edge):
 
 def reference_audit(cert, initial, family=None):
     """Audit with the seed vectors inserted in id order, on a hypergraph built
-    from the enumerated edges' ids (which the grid tests check against the
-    codec).  The closure and the elimination are the plain reference kernels,
-    so a fault in the library's kernels shows as a different report."""
+    through canonical_edges from the enumerated edges' ids (which the grid
+    tests check against the codec).  The closure and the elimination are the
+    plain reference kernels, so a fault in the library's kernels shows as a
+    different report."""
     ctx = cert.context
     spec = ctx.spec
+    nv = spec.num_vertices
     edges = [e[3] for e in enumerate_edges(spec, family or ctx.family)]
     ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
-    result = reference_closure(Hypergraph(spec.num_vertices, edges), ids)
+    result = reference_closure(Hypergraph(nv, canonical_edges(nv, edges)), ids)
     percolated = len(result.final) == spec.num_vertices
     basis = ReferenceBasis(ctx.u_size)
     for a in ids:

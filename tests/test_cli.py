@@ -131,6 +131,34 @@ class TestClosure:
         assert main(["closure", "--input", str(tmp_path / "missing.hg"), "--infected", "0"]) == 2
         capsys.readouterr()
 
+    def test_input_ids_in_any_order_with_repeats(self, capsys, tmp_path):
+        runs = []
+        for name, text in [("messy.hg", "p 5 3\n4 1 0 1\n2 2\n3 1\n"), ("canonical.hg", "p 5 3\n0 1 4\n2\n1 3\n")]:
+            path = tmp_path / name
+            path.write_text(text)
+            code = main(["closure", "--input", str(path), "--infected", "3,0"])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert json.loads(runs[0][1].out)["trace"]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p -2 0\n", "negative vertex count -2"),
+            ("p 3 1\n-1 2\n", "edge [-1, 2] has a vertex outside [0, 3)"),
+            ("p 3 1\n0 1.5\n", "non-integer vertex id in edge line"),
+        ],
+        ids=["negative-count", "negative-id", "non-integer-id"],
+    )
+    def test_invalid_input_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.hg"
+        path.write_text(text)
+        assert main(["closure", "--input", str(path), "--infected", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestCertify:
     def test_verified_certificate(self, capsys):

@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridperc import grid
+from gridperc import grid, percolation
+from gridperc.certificate import audit_percolating_set, certified_lower_bound
 from gridperc.grid import (
     GridSpec,
     count_edges,
@@ -16,6 +18,7 @@ from gridperc.grid import (
 )
 from gridperc.percolation import (
     Hypergraph,
+    canonical_edges,
     closure,
     grid_hypergraph,
     parse_hypergraph,
@@ -47,14 +50,14 @@ def random_hypergraph(rng, max_vertices=10, max_edges=12):
     for _ in range(ne):
         size = rng.randint(1, min(4, nv))
         edges.append(rng.sample(range(nv), size))
-    return Hypergraph(nv, edges)
+    return Hypergraph(nv, canonical_edges(nv, edges))
 
 
 @st.composite
 def hypergraphs(draw, max_vertices=10, max_edges=12):
     nv = draw(st.integers(1, max_vertices))
     edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
-    return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
+    return Hypergraph(nv, canonical_edges(nv, draw(st.lists(edge, max_size=max_edges))))
 
 
 @st.composite
@@ -66,21 +69,76 @@ def small_grid_specs(draw):
 
 
 class TestHypergraph:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Hypergraph(3, [[0, 3]])
-        with pytest.raises(ValueError):
-            Hypergraph(3, [[-1]])
-        with pytest.raises(ValueError):
-            Hypergraph(3, [[]])
-        with pytest.raises(ValueError):
-            Hypergraph(-1, [])
+    @pytest.mark.parametrize(
+        "num_vertices,edges,text,message",
+        [
+            (3, [[0, 3]], "p 3 1\n3 0\n", "edge [0, 3] has a vertex outside [0, 3)"),
+            (3, [[-1]], "p 3 1\n-1\n", "edge [-1] has a vertex outside [0, 3)"),
+            (3, [[]], None, "empty hyperedge"),
+            (-1, [], "p -1 0\n", "negative vertex count -1"),
+        ],
+    )
+    def test_validation(self, num_vertices, edges, text, message):
+        # A text edge line is never empty: blank lines are skipped.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            canonical_edges(num_vertices, edges)
+        if text is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_hypergraph(text)
 
     def test_canonicalization(self):
-        h = Hypergraph(4, [[2, 0, 2, 1]])
-        assert h.edges == ((0, 1, 2),)
-        assert h.incident[0] == (0,)
-        assert h.incident[3] == ()
+        assert canonical_edges(4, [[2, 0, 2, 1], (3,)]) == [(0, 1, 2), (3,)]
+        for h in (Hypergraph(4, canonical_edges(4, [[2, 0, 2, 1]])), parse_hypergraph("p 4 1\n2 0 2 1\n")):
+            assert h.edges == ((0, 1, 2),)
+            assert h.incident[0] == (0,)
+            assert h.incident[3] == ()
+
+    @given(small_grid_specs(), st.sampled_from(["K", "P"]))
+    def test_property_grid_ids_are_canonical(self, spec, family):
+        # grid_hypergraph passes these ids to the constructor unchecked.
+        for edge in enumerate_edges(spec, family):
+            ids = edge[3]
+            assert type(ids) is tuple
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert 0 <= ids[0] and ids[-1] < spec.num_vertices
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_weak_saturation_ids_are_canonical(self, n):
+        for k in range(2, n + 1):
+            h = weak_saturation_hypergraph(n, k)
+            for e in h.edges:
+                assert type(e) is tuple
+                assert all(a < b for a, b in zip(e, e[1:]))
+                assert 0 <= e[0] and e[-1] < h.num_vertices
+            validated = Hypergraph(h.num_vertices, canonical_edges(h.num_vertices, h.edges))
+            assert (h.edges, h.incident) == (validated.edges, validated.incident)
+
+    @given(small_grid_specs(), st.sampled_from(["K", "P"]))
+    def test_property_trusted_build_equals_validated_build(self, spec, family):
+        ids = [edge[3] for edge in enumerate_edges(spec, family)]
+        trusted = grid_hypergraph(spec, family)
+        validated = Hypergraph(spec.num_vertices, canonical_edges(spec.num_vertices, ids))
+        assert trusted.num_vertices == validated.num_vertices
+        assert trusted.edges == validated.edges
+        assert trusted.incident == validated.incident
+
+    def test_builders_never_validate(self, monkeypatch):
+        # Builders of trusted ids skip canonical_edges; only outside input
+        # pays for it.  The audit below is one operation of the benchmark's
+        # audit workload.
+        def forbidden(*args):
+            raise AssertionError("canonical_edges called")
+
+        monkeypatch.setattr(percolation, "canonical_edges", forbidden)
+        spec = GridSpec.cube(3, 3, 2, 2)
+        for family in ("K", "P"):
+            assert len(grid_hypergraph(spec, family).edges) == count_edges(spec, family)
+        assert len(weak_saturation_hypergraph(6, 4).edges) == 15
+        cert = certified_lower_bound(spec, "K")
+        for family in ("K", "P"):
+            assert audit_percolating_set(cert, extremal_set(spec), family=family).ok
+        with pytest.raises(AssertionError, match="canonical_edges called"):
+            parse_hypergraph("p 2 1\n0 1\n")
 
 
 class TestClosure:
@@ -91,7 +149,7 @@ class TestClosure:
         assert res.trace == ()
 
     def test_single_edge_fires(self):
-        h = Hypergraph(3, [[0, 1, 2]])
+        h = Hypergraph(3, [(0, 1, 2)])
         res = closure(h, [0, 1])
         assert res.final == {0, 1, 2}
         assert res.trace == ((2, 0),)
@@ -105,26 +163,26 @@ class TestClosure:
         replay_trace(h, res)
 
     def test_out_of_range(self):
-        h = Hypergraph(3, [[0, 1]])
+        h = Hypergraph(3, [(0, 1)])
         with pytest.raises(ValueError):
             closure(h, [3])
 
     def test_non_integer_ids_rejected(self):
-        h = Hypergraph(3, [[0, 1, 2]])
+        h = Hypergraph(3, [(0, 1, 2)])
         with pytest.raises(TypeError):
             closure(h, [0.9, 1.2])
         with pytest.raises(TypeError):
             closure(h, ["0"])
 
     def test_size_one_edges_fire_unconditionally(self):
-        h = Hypergraph(3, [[1], [0, 2]])
+        h = Hypergraph(3, [(1,), (0, 2)])
         res = closure(h, [])
         assert res.final == {1}
         res = closure(h, [0])
         assert res.final == {0, 1, 2}
 
     def test_percolates(self):
-        h = Hypergraph(3, [[0, 1, 2]])
+        h = Hypergraph(3, [(0, 1, 2)])
         assert percolates(h, [0, 1, 2])
         assert percolates(h, [0, 1])
         assert not percolates(h, [0])
@@ -156,9 +214,10 @@ class TestClosure:
             h = random_hypergraph(rng)
             a = rng.sample(range(h.num_vertices), rng.randint(0, h.num_vertices))
             expected = closure(h, a).final
-            perm = list(h.edges)
+            # reorder the edges and the ids within each, repeating some ids
+            perm = [rng.sample(e, len(e)) + rng.sample(e, rng.randint(0, len(e))) for e in h.edges]
             rng.shuffle(perm)
-            shuffled = Hypergraph(h.num_vertices, perm)
+            shuffled = Hypergraph(h.num_vertices, canonical_edges(h.num_vertices, perm))
             res = closure(shuffled, a)
             assert res.final == expected
             replay_trace(shuffled, res)
@@ -228,7 +287,7 @@ class TestWeakSaturation:
 
 class TestTextFormat:
     def test_roundtrip(self):
-        h = Hypergraph(5, [[0, 1, 4], [2], [1, 3]])
+        h = Hypergraph(5, [(0, 1, 4), (2,), (1, 3)])
         text = format_hypergraph(h)
         assert text.splitlines()[0] == "p 5 3"
         back = parse_hypergraph(text)

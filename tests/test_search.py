@@ -11,6 +11,7 @@ from gridperc import cli, search
 from gridperc.grid import GridSpec, axis_images, extremal_size
 from gridperc.percolation import (
     Hypergraph,
+    canonical_edges,
     closure,
     grid_hypergraph,
     percolates,
@@ -48,7 +49,7 @@ def reachable_from(g, sources):
 def hypergraphs(draw, max_vertices=7, max_edges=8):
     nv = draw(st.integers(1, max_vertices))
     edge = st.lists(st.integers(0, nv - 1), min_size=1, max_size=min(4, nv))
-    return Hypergraph(nv, draw(st.lists(edge, max_size=max_edges)))
+    return Hypergraph(nv, canonical_edges(nv, draw(st.lists(edge, max_size=max_edges))))
 
 
 @st.composite
@@ -231,7 +232,7 @@ class TestMinPercolatingExact:
 
     def test_single_edge_needs_all_but_one(self):
         for t in (2, 3, 5):
-            h = Hypergraph(t, [list(range(t))])
+            h = Hypergraph(t, [tuple(range(t))])
             res = min_percolating_exact(h)
             assert res.minimum == t - 1
 
@@ -242,7 +243,7 @@ class TestMinPercolatingExact:
                 assert res.minimum == extremal_size(spec)
 
     def test_isolated_vertices_are_mandatory(self):
-        h = Hypergraph(4, [[0, 1]])
+        h = Hypergraph(4, [(0, 1)])
         res = min_percolating_exact(h)
         assert res.minimum == 3
         assert set(res.witness) >= {2, 3}
