@@ -69,22 +69,20 @@ def small_grid_specs(draw):
 
 
 class TestHypergraph:
-    @pytest.mark.parametrize(
-        "num_vertices,edges,text,message",
-        [
+    def test_validation(self):
+        # A text edge line is never empty: blank lines are skipped.
+        cases = [
             (3, [[0, 3]], "p 3 1\n3 0\n", "edge [0, 3] has a vertex outside [0, 3)"),
             (3, [[-1]], "p 3 1\n-1\n", "edge [-1] has a vertex outside [0, 3)"),
             (3, [[]], None, "empty hyperedge"),
             (-1, [], "p -1 0\n", "negative vertex count -1"),
-        ],
-    )
-    def test_validation(self, num_vertices, edges, text, message):
-        # A text edge line is never empty: blank lines are skipped.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            canonical_edges(num_vertices, edges)
-        if text is not None:
+        ]
+        for num_vertices, edges, text, message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                parse_hypergraph(text)
+                canonical_edges(num_vertices, edges)
+            if text is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    parse_hypergraph(text)
 
     def test_canonicalization(self):
         assert canonical_edges(4, [[2, 0, 2, 1], (3,)]) == [(0, 1, 2), (3,)]
