@@ -474,6 +474,48 @@ class TestAudit:
         damaged = damaged_certificate(cert)
         assert audit_percolating_set(damaged, seeds, family) == reference_audit(damaged, seeds, family)
 
+    def test_one_build_per_certificate_and_family(self):
+        spec = GridSpec.cube(3, 3, 2, 2)
+        u = extremal_set(spec)
+        # The moved set percolates on K but not on P, so a build shared
+        # between the families would show in its reports.
+        moved = [v for v in u if v != (1, 1, 1)] + [(1, 3, 3)]
+        seed_sets = [u, moved, u[1:]]
+        cert = certified_lower_bound(spec, "K")
+        one_each = [(spec, fam) for fam in FAMILIES]
+        spy = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
+        with spy as built:
+            reports = {fam: [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] for fam in FAMILIES}
+            assert [c.args for c in built.call_args_list] == one_each
+            for fam in FAMILIES:
+                assert [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] == reports[fam]
+            assert built.call_count == len(FAMILIES)
+            for other in (certified_lower_bound(spec, "K"), damaged_certificate(cert)):
+                built.reset_mock()
+                for fam in FAMILIES:
+                    audit_percolating_set(other, u, fam)
+                    audit_percolating_set(other, u, fam)
+                assert [c.args for c in built.call_args_list] == one_each
+        for fam, fam_reports in reports.items():
+            assert fam_reports == [reference_audit(cert, seeds, fam) for seeds in seed_sets]
+        assert [r.percolated for r in reports["K"]] == [True, True, False]
+        assert [r.percolated for r in reports["P"]] == [True, False, False]
+
+    @settings(max_examples=40)
+    @given(small_specs(), st.data())
+    def test_property_report_ignores_earlier_audits(self, spec, data):
+        # One certificate object answers a drawn sequence of audits with K and
+        # P interleaved; each report must equal a fresh reference build's.
+        everything = list(vertices(spec))
+        audits = data.draw(st.lists(
+            st.tuples(st.sampled_from(FAMILIES), st.lists(st.sampled_from(everything), unique=True)),
+            min_size=1, max_size=6,
+        ))
+        cert = certified_lower_bound(spec, "K")
+        for audited in (cert, damaged_certificate(cert)):
+            for family, seeds in audits:
+                assert audit_percolating_set(audited, seeds, family) == reference_audit(audited, seeds, family)
+
     @pytest.mark.parametrize("spec", [SPEC_3222, SPEC_3232, SPEC_INHOM, GridSpec.cube(3, 3, 2, 2)])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_damaged_certificate_still_fails(self, spec, family):

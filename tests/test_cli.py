@@ -214,6 +214,14 @@ class TestAudit:
         )
         assert code == 0
         assert data["percolated"] is True
+        # repeated ids count once in initialSize
+        code, data = run_json(
+            capsys,
+            ["audit", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--infected", "6,0,1,2,3,6,0"],
+        )
+        assert code == 0
+        assert data["initialSize"] == 5
+        assert data["ok"] is True
 
 
 class TestMinperc:
