@@ -8,13 +8,16 @@ is checked, output and replayed by audits.  Verified properties:
 
 * span: the vectors have full rank (the extremal-set size), because the
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
-* dependency: for every edge, the vectors of its vertices, weighted by their
-  edge coefficients, sum to zero.  A vertex's edge coefficient is the product
-  over the edge's varying axes of its value's cofactor coefficient, read from
-  the context's per-axis tables; each is nonzero because the matrices are in
-  general position, which building the tables checks.  The edge loop reads
-  each edge's value sets and vertex ids from the one grid edge walk and looks
-  the vectors up in the id-ordered table by id.
+* dependency: for every edge of the certificate's family, the vectors of its
+  vertices, weighted by their edge coefficients, sum to zero.  Either family's
+  check covers both: every "P" edge is a "K" edge, and the "P" sums imply the
+  "K" sums by the interval lemma (certified_lower_bound).  A vertex's edge
+  coefficient is the product over the edge's varying axes of its value's
+  cofactor coefficient, read from the context's per-axis tables; each is
+  nonzero because the matrices are in general position, which building the
+  tables checks.  The edge loop reads each edge's value sets and vertex ids
+  from the one grid edge walk and looks the vectors up in the id-ordered
+  table by id.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -179,10 +182,21 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     Dependency: for every edge, the vectors of its vertices, weighted by their
     edge coefficients (products of the context's per-axis coefficients), must
     sum to zero.  An edge's ids are in row-major order, which is the order of
-    the product of its value sets' coefficients.  The sums run over the "K"
-    edges, which contain the "P" edges, so one verification covers both
-    families.  Any failure raises CertificateError; on success the lower
-    bound equals the extremal-set size.
+    the product of its value sets' coefficients.  The sums run over the edges
+    of the certificate's own family.  Either walk covers both families: a "P"
+    edge is a "K" edge, and the "P" sums imply the "K" sums by the interval
+    lemma.  On axis k, the coefficients lambda_A of a t_k-set A of values
+    combine the rows of M_k listed in A to zero; as vectors indexed by value
+    they lie in the left null space of M_k, of dimension n_k - t_k + 1 since
+    M_k has rank t_k - 1 (building the context checks its minors).  The
+    n_k - t_k + 1 intervals {a, ..., a + t_k - 1} give independent vectors,
+    each with its last nonzero entry at its own value a + t_k - 1, so they
+    span that space and every lambda_A is a rational combination of interval
+    vectors.  An edge's sum is multilinear in its varying axes' lambda
+    vectors, so every "K" edge's sum is a combination of the sums of the "P"
+    edges with the same varying axes and fixed values.  Any failure raises
+    CertificateError; on success the lower bound equals the extremal-set
+    size.
     """
     ctx = build_context(spec, family)
     rows = [tuple(certificate_vector(v, ctx)) for v in vertices(spec)]  # in vertex-id order
@@ -192,7 +206,7 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
         if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
-    for varying, values, fixed, ids in enumerate_edges(spec, "K"):
+    for varying, values, fixed, ids in enumerate_edges(spec, ctx.family):
         lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
         total = [0] * ctx.u_size
         for i, cs in zip(ids, itertools.product(*lams)):

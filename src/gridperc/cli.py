@@ -73,14 +73,14 @@ def _parse_spec(args) -> GridSpec:
     if not ns or not ts:
         raise ValueError("--n and --t must each give at least one value")
     d = args.d if args.d is not None else max(len(ns), len(ts))
+    if len(ns) not in (1, d) or len(ts) not in (1, d):
+        raise ValueError(
+            f"inconsistent list lengths: --d {d}, --n gives {len(ns)}, --t gives {len(ts)}"
+        )
     if len(ns) == 1:
         ns = ns * d
     if len(ts) == 1:
         ts = ts * d
-    if len(ns) != d or len(ts) != d:
-        raise ValueError(
-            f"inconsistent list lengths: --d {d}, --n gives {len(ns)}, --t gives {len(ts)}"
-        )
     return GridSpec(tuple(ns), tuple(ts), args.r)
 
 

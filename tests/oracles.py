@@ -3,7 +3,8 @@ tests need.
 
 Each reference is the straightforward form of a kernel the library
 optimizes or builds another way, kept here so tests can require the library
-to give exactly the same results.  The helpers (coordinate projection,
+to give exactly the same results; the per-"K"-edge dependency check is the
+reference for the certificate's "P" walk.  The helpers (coordinate projection,
 per-vertex edge coefficients, the hypergraph text writer and span
 membership) have no caller in the library.
 """
@@ -16,7 +17,7 @@ import operator
 from collections import deque
 
 from gridperc.exact import dependency_coeffs
-from gridperc.grid import encode_vertex, row_major_strides
+from gridperc.grid import encode_vertex, enumerate_edges, row_major_strides
 from gridperc.percolation import ClosureResult
 from gridperc.search import Graph
 
@@ -176,6 +177,26 @@ def edge_coefficient(edge, v, ctx) -> int:
         lams = dependency_coeffs(ctx.axis_matrices[axis - 1], vals)
         coeff *= lams[vals.index(v[axis - 1])]
     return coeff
+
+
+def reference_dependency_failure(ctx, rows):
+    """First "K" edge whose vectors, weighted by their edge coefficients, do
+    not sum to zero, or None.
+
+    ``rows`` is a vector table in vertex-id order.  This is the walk over
+    every "K" edge that the certificate's "P" walk must agree with, by the
+    interval lemma in certified_lower_bound.
+    """
+    for edge in enumerate_edges(ctx.spec, "K"):
+        varying, values, _fixed, ids = edge
+        lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
+        total = [0] * ctx.u_size
+        for i, cs in zip(ids, itertools.product(*lams)):
+            c = math.prod(cs)
+            total = [a + c * x for a, x in zip(total, rows[i])]
+        if any(total):
+            return edge
+    return None
 
 
 def format_hypergraph(h) -> str:

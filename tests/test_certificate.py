@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from collections import defaultdict
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ from gridperc.exact import EliminationBasis, matrix_rank
 from gridperc.grid import (
     FAMILIES,
     GridSpec,
+    count_edges,
     decode_vertex,
     encode_vertex,
     enumerate_edges,
@@ -33,7 +35,13 @@ from gridperc.grid import (
     vertices,
 )
 from gridperc.percolation import Hypergraph, canonical_edges
-from oracles import ReferenceBasis, edge_coefficient, project, reference_closure
+from oracles import (
+    ReferenceBasis,
+    edge_coefficient,
+    project,
+    reference_closure,
+    reference_dependency_failure,
+)
 
 SPEC_3222 = GridSpec.cube(3, 2, 2, 2)
 SPEC_3232 = GridSpec.cube(3, 2, 3, 2)
@@ -56,6 +64,30 @@ def vector_damage(draw):
     v = decode_vertex(spec, draw(st.integers(0, spec.num_vertices - 1)))
     position = draw(st.integers(0, extremal_size(spec) - 1))
     return spec, v, position, draw(st.integers().filter(bool))
+
+
+@st.composite
+def span_free_damages(draw):
+    """A small spec and three damages of its vector table, with 1, 2 and 3
+    entries, each a (vertex id, basis position, nonzero delta).
+
+    Every entry is one the span check leaves free: any entry of a vertex
+    outside the extremal set, or an entry of an extremal vertex at a basis
+    position of smaller coordinate sum.  So certified_lower_bound can reject
+    a damaged table only by a dependency sum.
+    """
+    spec = draw(small_specs())
+    u = extremal_set(spec)
+    sums = [sum(w) for w in u]
+    own = {encode_vertex(spec, w): sums[i] for i, w in enumerate(u)}
+    free = {
+        a: [i for i, s in enumerate(sums) if s < own.get(a, math.inf)] for a in range(spec.num_vertices)
+    }
+    free = {a: positions for a, positions in free.items() if positions}
+    entries = st.sampled_from(sorted(free)).flatmap(
+        lambda a: st.tuples(st.just(a), st.sampled_from(free[a]), st.integers().filter(bool))
+    )
+    return spec, [draw(st.lists(entries, min_size=k, max_size=k)) for k in (1, 2, 3)]
 
 
 @st.composite
@@ -357,9 +389,11 @@ class TestCertifiedLowerBound:
         with pytest.raises(CertificateError, match="span deficit"):
             certified_lower_bound(SPEC_3222, "K")
 
-    def test_nonzero_dependency_sum_is_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_nonzero_dependency_sum_is_rejected(self, monkeypatch, family):
         # (3, 3) is not extremal, so the span check still passes and only the
-        # dependency sums of the edges through (3, 3) can catch the damage.
+        # dependency sums of the edges through (3, 3) can catch the damage;
+        # the P edge {2, 3} x {2, 3} holds it.
         original = certificate.projection_component
 
         def damaged(v, proj_axes, ctx):
@@ -370,13 +404,15 @@ class TestCertifiedLowerBound:
 
         monkeypatch.setattr(certificate, "projection_component", damaged)
         with pytest.raises(CertificateError, match="nonzero dependency sum"):
-            certified_lower_bound(SPEC_3222, "K")
+            certified_lower_bound(SPEC_3222, family)
 
+    @pytest.mark.parametrize("family", FAMILIES)
     @given(vector_damage())
-    def test_property_damaged_vector_is_rejected(self, damage):
-        # Every vertex lies in some edge, where its coefficient is nonzero, so
-        # any change to its vector breaks that edge's summed dependency (or,
-        # for an extremal vertex, possibly the span check first).
+    def test_property_damaged_vector_is_rejected(self, family, damage):
+        # Every vertex lies in some edge of either family, where its
+        # coefficient is nonzero, so any change to its vector breaks that
+        # edge's summed dependency (or, for an extremal vertex, possibly the
+        # span check first).
         spec, target, position, delta = damage
         original = certificate.certificate_vector
 
@@ -388,7 +424,41 @@ class TestCertifiedLowerBound:
 
         with mock.patch.object(certificate, "certificate_vector", damaged):
             with pytest.raises(CertificateError):
-                certified_lower_bound(spec, "K")
+                certified_lower_bound(spec, family)
+
+    @pytest.mark.parametrize("spec", [SPEC_3222, SPEC_3232, SPEC_INHOM, GridSpec.cube(3, 3, 2, 2)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_walks_only_its_own_family(self, spec, family):
+        walks = []  # [family, edges yielded] per walk
+
+        def spy(spec, fam):
+            walks.append([fam, 0])
+            for edge in enumerate_edges(spec, fam):
+                walks[-1][1] += 1
+                yield edge
+
+        with mock.patch.object(certificate, "enumerate_edges", spy):
+            certified_lower_bound(spec, family)
+        assert walks == [[family, count_edges(spec, family)]]
+
+    @given(span_free_damages())
+    def test_property_p_walk_agrees_with_k_walk(self, case):
+        # The interval lemma: the P sums vanish exactly when the K sums do,
+        # on the real table and on damaged ones.
+        spec, damages = case
+        real = certified_lower_bound(spec, "P")
+        assert reference_dependency_failure(real.context, real.f_vectors) is None
+        for damage in damages:
+            rows = [list(row) for row in real.f_vectors]
+            for a, position, delta in damage:
+                rows[a][position] += delta
+            if reference_dependency_failure(real.context, rows) is None:
+                verdict = nullcontext()
+            else:
+                verdict = pytest.raises(CertificateError, match="nonzero dependency sum")
+            table = mock.patch.object(certificate, "certificate_vector", lambda v, ctx: rows[encode_vertex(spec, v)])
+            with table, verdict:
+                certified_lower_bound(spec, "P")
 
     def test_output_is_the_verified_table(self):
         # Certification computes every vector once; outputs and audits read

@@ -40,9 +40,17 @@ class TestFormula:
         assert capsys.readouterr().out == "extremalSize\n5\n"
 
     def test_inconsistent_lists(self, capsys):
-        code = main(["formula", "--d", "3", "--r", "1", "--n", "3,4", "--t", "2"])
-        assert code == 2
-        assert "inconsistent" in capsys.readouterr().err
+        # The counts are those given, before a single value is broadcast.
+        cases = [
+            (["--d", "3", "--n", "3,4", "--t", "2"], "--d 3, --n gives 2, --t gives 1"),
+            (["--d", "2", "--n", "3", "--t", "2,2,2"], "--d 2, --n gives 1, --t gives 3"),
+            (["--n", "3,4", "--t", "2,2,2"], "--d 3, --n gives 2, --t gives 3"),
+        ]
+        for argv, counts in cases:
+            assert main(["formula", "--r", "1", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: inconsistent list lengths: {counts}\n"
 
     def test_invalid_spec(self, capsys):
         assert main(["formula", "--d", "2", "--r", "2", "--n", "3", "--t", "5"]) == 2
@@ -513,7 +521,7 @@ GOLDEN = {
     "formula --r 2 --n 3,4 --t 2,3 --format csv":
         (0, "d925860785f2d596854cb340a5d04871e20ae95c09fe463ac49c68c782f4c144"),
     "formula --d 3 --r 1 --n 3,4 --t 2":
-        (2, "cc290b7165abfaf6966bd2e04ace041c6537e2129a996032f93c31ece7d6ea8f"),
+        (2, "6ab4de3c97681bc0bbe803c75009e121f67e928051b429ab6951bcfbfaf84bb6"),
     "formula --d 2 --r 2 --n 3 --t 5":
         (2, "dd16a537ff016842a4bb74a9b36abd9efc030ad4910dc655d0071a9c4ac45e51"),
     "extremal --d 2 --r 2 --n 3 --t 2":
