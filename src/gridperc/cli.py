@@ -39,6 +39,7 @@ from .grid import (
     enumerate_edges,
     extremal_set,
     extremal_size,
+    family_images,
 )
 from .percolation import (
     closure,
@@ -206,7 +207,7 @@ def _cmd_minperc(args):
         payload = {
             "family": args.family,
             "mode": "exhaustive",
-            **_found(min_percolating_exact(h, budget=args.budget, images=axis_images(spec.dims, spec.thick))),
+            **_found(min_percolating_exact(h, budget=args.budget, images=family_images(spec, args.family))),
         }
     else:
         cert = certified_lower_bound(spec, args.family)
@@ -303,7 +304,7 @@ def _cmd_sweep(args):
                     brute = min_percolating_exact(
                         grid_hypergraph(spec, family),
                         budget=args.brute_tests,
-                        images=axis_images(spec.dims, spec.thick),
+                        images=family_images(spec, family),
                     ).minimum
             runtime_ms = int((time.perf_counter() - started) * 1000)
             rows.append(

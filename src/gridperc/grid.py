@@ -126,10 +126,11 @@ def axis_images(dims, thick=None) -> list[tuple[int, ...]]:
 
     One reflection x_k -> n_k + 1 - x_k per axis of length above 1, then a
     swap of each pair of adjacent axes with equal lengths (and, when
-    ``thick`` is given, equal thicknesses): at most 2d - 1 images, each a
-    tuple whose entry v is the id vertex v maps to.  Each maps the grid graph
-    on ``dims``, and the "K" and "P" families of any copy rank, onto
-    themselves.  The ids move by row-major stride arithmetic.
+    ``thick`` is given, equal thicknesses): at most d reflections and d - 1
+    swaps, each a tuple whose entry v is the id vertex v maps to.  Each maps
+    the grid graph on ``dims``, and the "K" and "P" families of any copy
+    rank, onto themselves; family_images adds the symmetries that only "K"
+    has.  The ids move by row-major stride arithmetic.
     """
     dims = tuple(map(operator.index, dims))
     strides = row_major_strides(dims)
@@ -143,6 +144,26 @@ def axis_images(dims, thick=None) -> list[tuple[int, ...]]:
         if dims[k] == dims[k + 1] and (thick is None or thick[k] == thick[k + 1]):
             n, s, s2 = dims[k], strides[k], strides[k + 1]
             images.append(tuple(v + (v // s2 % n - v // s % n) * (s - s2) for v in ids))
+    return images
+
+
+def family_images(spec: GridSpec, family: str) -> list[tuple[int, ...]]:
+    """Generators of symmetries of the family's hypergraph on ``spec``, as
+    permutations of the ids.
+
+    axis_images(spec.dims, spec.thick), and for "K" also the n_k - 1
+    transpositions x_k = j <-> x_k = j + 1 of adjacent values on each axis:
+    a t_k-subset of an axis's values stays a t_k-subset under any
+    permutation of them, so K edges map onto K edges.  One that swaps j and
+    j + 1 where a "P" interval ends or starts breaks that interval, so "P"
+    gets the axis images only.
+    """
+    images = axis_images(spec.dims, spec.thick)
+    if check_family(family) == "K":
+        ids = range(spec.num_vertices)
+        for n, s in zip(spec.dims, row_major_strides(spec.dims)):
+            for j in range(n - 1):
+                images.append(tuple(v + s if v // s % n == j else v - s if v // s % n == j + 1 else v for v in ids))
     return images
 
 

@@ -29,6 +29,7 @@ from gridperc.grid import (
     enumerate_edges,
     extremal_set,
     extremal_size,
+    family_images,
 )
 from gridperc.percolation import grid_hypergraph, percolates, weak_saturation_hypergraph
 from gridperc.search import (
@@ -68,6 +69,13 @@ BRUTE_FORCE_SPECS = [
     (GridSpec((3, 4), (2, 3), 2), 8),
 ]
 
+# K specs past the reach of a search that uses only the axis images: with
+# K's value transpositions (grid.family_images) each answers in under 2 s.
+K_REACH_SPECS = [
+    (GridSpec.cube(5, 2, 3, 2), 16),
+    (GridSpec.cube(6, 2, 4, 2), 27),
+]
+
 
 def check_criterion_1():
     started = time.perf_counter()
@@ -92,9 +100,16 @@ def check_criterion_2():
             result = min_percolating_exact(grid_hypergraph(spec, family))
             assert result is not None
             assert result.minimum == expected == extremal_size(spec)
+    for spec, expected in K_REACH_SPECS:
+        h = grid_hypergraph(spec, "K")
+        result = min_percolating_exact(h, budget=10**15, images=family_images(spec, "K"))
+        assert result.minimum == expected == extremal_size(spec)
     elapsed = time.perf_counter() - started
     assert elapsed < 300
-    return f"exhaustive minimum equals the formula on {len(BRUTE_FORCE_SPECS)} specs x 2 families ({elapsed:.1f}s)"
+    return (
+        f"exhaustive minimum equals the formula on {len(BRUTE_FORCE_SPECS)} specs x 2 families"
+        f" and {len(K_REACH_SPECS)} K specs ({elapsed:.1f}s)"
+    )
 
 
 def check_criterion_3():

@@ -374,6 +374,23 @@ def test_benchmark_search_counts(capsys, argv, minimum, witness, tested):
     assert (data["minimum"], data["witness"], data["tested"]) == (minimum, witness, tested)
 
 
+@pytest.mark.parametrize(
+    "argv,minimum,witness,tested",
+    [
+        (["rneighbour", "--grid", "7,7", "--r", "2", "--exhaustive", "--budget", str(10**12)],
+         7, [0, 2, 4, 6, 14, 28, 42], 17_822_801),
+        (["minperc", "--d", "2", "--n", "5", "--t", "3", "--r", "2", "--family", "K", "--exhaustive",
+          "--budget", str(10**12)], 16, [*range(12), 15, 16, 20, 21], 29_704_200),
+    ],
+)
+def test_pruned_search_counts(capsys, argv, minimum, witness, tested):
+    # The answers of the searches without the potential test and the value
+    # transpositions, which took 6.0 s and 10.9 s to reach them.
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert (data["minimum"], data["witness"], data["tested"]) == (minimum, witness, tested)
+
+
 def test_benchmark_budget_exit(capsys):
     argv = ["minperc", "--d", "3", "--n", "3", "--t", "2", "--r", "2", "--family", "P",
             "--exhaustive", "--budget", "50000"]

@@ -15,6 +15,7 @@ from gridperc.grid import (
     enumerate_edges,
     extremal_set,
     extremal_size,
+    family_images,
     vertices,
 )
 
@@ -296,6 +297,26 @@ class TestAxisImages:
             edges = {edge[3] for edge in enumerate_edges(spec, family)}
             for g in expected:
                 assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
+
+    @given(grid_specs())
+    def test_family_images_add_value_transpositions_for_k(self, spec):
+        # Built through the codec: x_k = j <-> x_k = j + 1, per axis, per j.
+        def transpose(k, j):
+            def move(v):
+                v[k] = {j: j + 1, j + 1: j}.get(v[k], v[k])
+                return tuple(v)
+
+            return tuple(encode_vertex(spec, move(list(v))) for v in vertices(spec))
+
+        axes = axis_images(spec.dims, spec.thick)
+        transpositions = [transpose(k, j) for k in range(spec.d) for j in range(1, spec.dims[k])]
+        assert family_images(spec, "K") == axes + transpositions
+        assert family_images(spec, "P") == axes
+        edges = {edge[3] for edge in enumerate_edges(spec, "K")}
+        for g in transpositions:
+            assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
+        with pytest.raises(ValueError):
+            family_images(spec, "Q")
 
     def test_counts(self):
         assert len(axis_images((3, 3, 3), (2, 2, 2))) == 5

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridperc import cli, search
-from gridperc.grid import GridSpec, axis_images, extremal_size
+from gridperc.grid import GridSpec, axis_images, extremal_size, family_images
 from gridperc.percolation import (
     Hypergraph,
     canonical_edges,
@@ -122,15 +122,15 @@ def first_percolating(free, mandatory, percolates_fn, size):
     return None
 
 
-def size_search(num_vertices, spread, start, mandatory, images):
-    """The free vertices and _first_at_size bound to one process and its
-    images."""
+def size_search(num_vertices, spread, start, mandatory, images, doomed=None):
+    """The free vertices and _first_at_size bound to one process, its images
+    and its prefix test."""
     free = [v for v in range(num_vertices) if v not in mandatory]
     full = (1 << num_vertices) - 1
     bits = [[1 << w for w in image] for image in images]
 
     def first(size, limit=math.inf):
-        return search._first_at_size(free, spread, start, full, size, limit, bits)
+        return search._first_at_size(free, spread, start, full, size, limit, bits, doomed)
 
     return free, first
 
@@ -144,7 +144,8 @@ def hypergraph_size_search(h, images=()):
 def graph_size_search(g, r, images=()):
     mandatory, _ = graph_oracle(g, r)
     start = search._mask(r_neighbour_closure(g, mandatory, r))
-    return size_search(g.num_vertices, search._neighbour_spread(g, r), start, mandatory, images)
+    spread = search._neighbour_spread(g, r)
+    return size_search(g.num_vertices, spread, start, mandatory, images, search._potential_test(g, r))
 
 
 @st.composite
@@ -167,11 +168,11 @@ def orbit_closed_hypergraphs(draw, max_vertices=8, max_edges=6):
 
 @st.composite
 def symmetric_instances(draw):
-    """A grid graph, grid hypergraph (K or P, equal and unequal axes),
-    hypercube, weak saturation hypergraph or orbit-closed hypergraph with a
-    random subset of its images, as (graph or hypergraph, r or None,
-    images).  At most 10 vertices, so a plain scan of every candidate stays
-    small."""
+    """A grid graph, grid hypergraph (K with its value transpositions or P,
+    equal and unequal axes), hypercube, weak saturation hypergraph or
+    orbit-closed hypergraph with a random subset of its images, as (graph
+    or hypergraph, r or None, images).  At most 10 vertices, so a plain scan
+    of every candidate stays small."""
     kind = draw(st.sampled_from(["grid", "hypercube", "family", "wsat", "orbit"]))
     if kind == "grid":
         dims = draw(st.sampled_from([(4,), (2, 2), (2, 3), (3, 3), (2, 4), (1, 3, 3), (2, 2, 2), (2, 5)]))
@@ -183,8 +184,8 @@ def symmetric_instances(draw):
         dims = draw(st.sampled_from([(4,), (3, 3), (2, 4), (2, 2, 2), (3, 2), (2, 5)]))
         thick = tuple(draw(st.integers(2, n)) for n in dims)
         spec = GridSpec(dims, thick, draw(st.integers(1, len(dims))))
-        structure = grid_hypergraph(spec, draw(st.sampled_from(["K", "P"])))
-        r, images = None, axis_images(dims, thick)
+        family = draw(st.sampled_from(["K", "P"]))
+        structure, r, images = grid_hypergraph(spec, family), None, family_images(spec, family)
     elif kind == "wsat":
         n = draw(st.integers(2, 5))
         structure = weak_saturation_hypergraph(n, draw(st.integers(2, n)))
@@ -220,6 +221,12 @@ def naive_minimum(h):
         for k in range(h.num_vertices + 1)
         if any(percolates(h, c) for c in itertools.combinations(range(h.num_vertices), k))
     )
+
+
+def potential(g, r, vertices):
+    """r|S| - e(S), with e(S) the edges of g that have both ends in S."""
+    inside = set(vertices)
+    return r * len(inside) - sum(1 for u in inside for w in g.adj[u] if u < w and w in inside)
 
 
 class TestMinPercolatingExact:
@@ -264,9 +271,9 @@ class TestMinPercolatingExact:
         sizes = []
         walk = search._first_at_size
 
-        def recorder(free, spread, start, full, size, limit, images):
+        def recorder(free, spread, start, full, size, *rest):
             sizes.append(size)
-            return walk(free, spread, start, full, size, limit, images)
+            return walk(free, spread, start, full, size, *rest)
 
         monkeypatch.setattr(search, "_first_at_size", recorder)
         res = min_percolating_exact(grid_hypergraph(GridSpec.cube(4, 2, 3, 2), "K"))
@@ -414,6 +421,42 @@ def test_float_threshold_or_budget_is_rejected(search, args, kwargs):
         search(*args, **kwargs)
 
 
+class TestPotential:
+    """The facts behind the r-neighbour prefix test: infecting a vertex with
+    at least r infected neighbours never raises r|S| - e(S), and adding any
+    one vertex raises it by at most r."""
+
+    @given(graphs(), st.integers(1, 3), st.data())
+    def test_never_rises_along_the_closure(self, g, r, data):
+        infected = data.draw(st.sets(st.integers(0, g.num_vertices - 1)), label="initial")
+        for x in range(g.num_vertices):
+            assert potential(g, r, infected | {x}) <= potential(g, r, infected) + r
+        expected = r_neighbour_closure(g, infected, r)
+        while True:
+            ready = [
+                v
+                for v in range(g.num_vertices)
+                if v not in infected and sum(w in infected for w in g.adj[v]) >= r
+            ]
+            if not ready:
+                break
+            before = potential(g, r, infected)
+            infected.add(data.draw(st.sampled_from(ready), label="next"))
+            assert potential(g, r, infected) <= before
+        assert infected == expected
+
+    @given(graphs(), st.integers(1, 3), st.data())
+    def test_doomed_states_have_no_percolating_completion(self, g, r, data):
+        nv = g.num_vertices
+        state = r_neighbour_closure(g, data.draw(st.sets(st.integers(0, nv - 1)), label="initial"), r)
+        k = data.draw(st.integers(0, nv), label="picks")
+        doomed = search._potential_test(g, r)(search._mask(state), k)
+        assert doomed == (potential(g, r, state) + r * k < r * nv - g.num_edges)
+        if doomed:
+            for extra in itertools.combinations(range(nv), k):
+                assert len(r_neighbour_closure(g, state | set(extra), r)) < nv
+
+
 class TestFirstAtSize:
     """Each size on its own: the first percolating set of that size, whether
     or not smaller sets percolate."""
@@ -509,12 +552,50 @@ class TestAgainstPlainScan:
         budget = data.draw(st.integers(0, 2**n + 1), label="budget")
         assert outcome(exhaustive, structure, r, budget, images) == outcome(plain_scan, n, perc, mandatory, budget)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
+    def test_grid_graphs_where_the_potential_bound_is_tight(self, dims):
+        # With r = 2, r|V| - |E| = n_1 + n_2 and the minimum is
+        # (n_1 + n_2) / 2 rounded up: the potential test refutes every size
+        # below it and no size above.  Budgets around each size's first
+        # position and around the answer's.
+        g = grid_graph(dims)
+        mandatory, perc = graph_oracle(g, 2)
+        expected = plain_scan(g.num_vertices, perc, mandatory, DEFAULT_BUDGET)
+        assert expected.minimum == -(-sum(dims) // 2)
+        starts = itertools.accumulate(math.comb(g.num_vertices, k) for k in range(expected.minimum + 1))
+        budgets = {b + step for b in (0, expected.tested, *starts) for step in (-1, 0, 1) if b + step >= 0}
+        for images in ((), axis_images(dims)):
+            assert min_r_neighbour_percolating(g, 2, images=images) == expected
+            for budget in budgets:
+                assert outcome(min_r_neighbour_percolating, g, 2, budget=budget, images=images) == outcome(
+                    plain_scan, g.num_vertices, perc, mandatory, budget
+                )
+
     @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
     def test_r_neighbour_greedy(self, g, r, trials, seed):
         _, perc = graph_oracle(g, r)
         assert greedy_r_neighbour_upper_bound(g, r, trials, seed) == plain_greedy(
             g.num_vertices, perc, trials, seed
         )
+
+
+def counted_spread_calls(monkeypatch):
+    """A list that gains one entry per spread call of the r-neighbour searches
+    started after this call."""
+    calls = []
+    make_spread = search._neighbour_spread
+
+    def counting_spread(g, r):
+        spread = make_spread(g, r)
+
+        def counted(state, v):
+            calls.append(v)
+            return spread(state, v)
+
+        return counted
+
+    monkeypatch.setattr(search, "_neighbour_spread", counting_spread)
+    return calls
 
 
 def fail_if_called(*args, **kwargs):
@@ -596,23 +677,49 @@ class TestImages:
             assert {image[v] for v in forced} == forced
         assert accepted == automorphisms
 
-    def test_six_by_six_search_uses_the_square_symmetries(self, monkeypatch, capsys):
-        # 239,239 spread calls with no images; the CLI passes the square's.
-        calls = 0
-        make_spread = search._neighbour_spread
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec((4, 5), (2, 4), 2),
+            GridSpec((5, 3), (3, 2), 1),
+            GridSpec((3, 4), (3, 2), 2),
+            GridSpec.cube(3, 3, 2, 2),
+        ],
+    )
+    def test_value_transpositions_keep_k_and_break_p_intervals(self, monkeypatch, spec):
+        # Every K value transposition x_k = j <-> j + 1 is accepted.  On P it
+        # keeps the intervals of an axis only when none ends at j or starts at
+        # j + 1, that is when n - t < j < t: never for t <= (n + 1) / 2, always
+        # for t = n.
+        monkeypatch.setattr(search, "_min_subset_search", lambda *args: "searched")
+        transpositions = family_images(spec, "K")[len(axis_images(spec.dims, spec.thick)):]
+        swaps = [(n, t, j) for n, t in zip(spec.dims, spec.thick) for j in range(1, n)]
+        assert len(transpositions) == len(swaps)
+        k_family, p_family = grid_hypergraph(spec, "K"), grid_hypergraph(spec, "P")
+        for image, (n, t, j) in zip(transpositions, swaps):
+            assert min_percolating_exact(k_family, images=[image]) == "searched"
+            if n - t < j < t:
+                assert min_percolating_exact(p_family, images=[image]) == "searched"
+            else:
+                with pytest.raises(ValueError, match="not an automorphism"):
+                    min_percolating_exact(p_family, images=[image])
 
-        def counting_spread(g, r):
-            spread = make_spread(g, r)
+    def test_four_cube_search_uses_its_symmetries(self, monkeypatch, capsys):
+        # r|V| - |E| = 2 * 16 - 32 = 0, so the potential test prunes nothing
+        # here and the gap is the images' alone.
+        calls = counted_spread_calls(monkeypatch)
+        min_r_neighbour_percolating(hypercube_graph(4), 2)
+        plain = len(calls)
+        calls.clear()
+        assert cli.main(["rneighbour", "--hypercube", "4", "--r", "2", "--exhaustive"]) == 0
+        assert '"minimum": 3' in capsys.readouterr().out
+        assert 0 < len(calls) < plain
 
-            def counted(state, v):
-                nonlocal calls
-                calls += 1
-                return spread(state, v)
-
-            return counted
-
-        monkeypatch.setattr(search, "_neighbour_spread", counting_spread)
+    def test_six_by_six_search_closure_count(self, monkeypatch, capsys):
+        # 239,239 spread calls with neither rule.  The potential test refutes
+        # size 5 before any closure; size 7 and the first percolating 6-set
+        # take 12 and 11.
+        calls = counted_spread_calls(monkeypatch)
         assert cli.main(["rneighbour", "--grid", "6,6", "--r", "2", "--exhaustive"]) == 0
         assert '"minimum": 6' in capsys.readouterr().out
-        assert calls < 120_000
-
+        assert len(calls) == 23
