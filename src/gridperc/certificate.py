@@ -256,9 +256,11 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     ids ascending within each group.  The extremal vectors form the triangular
     block that certified_lower_bound verified, so each of them grows the span,
     and a seed set holding the extremal set is at full rank after u_size
-    inserts; every later insert then returns at once.  Rank does not depend
-    on insertion order and the trace steps still follow all seeds, so the
-    report is the same as for any other seed order.
+    inserts.  Rank cannot exceed u_size, so once it reaches u_size no later
+    seed or trace step is inserted: every insert would return False, and each
+    remaining step is recorded as in span.  Rank does not depend on insertion
+    order and the trace steps still follow all seeds, so the report is the
+    same as for any other seed order.
 
     The certificate keeps each family's hypergraph after its first audit of
     that family (about 1.5 MiB for the K build of 6^3/t=3/r=2, see
@@ -277,22 +279,23 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     result = closure(hypergraph, ids)
     percolated = len(result.final) == spec.num_vertices
 
-    basis = EliminationBasis(ctx.u_size)
+    full = ctx.u_size
+    basis = EliminationBasis(full)
     for a in sorted(ids, key=lambda a: seeds[a] not in ctx.u_index):
+        if basis.rank == full:
+            break
         basis.insert(cert.f_vectors[a])
     seed_rank = basis.rank
 
-    steps = []
+    steps = ()
     if percolated:
-        for v, _edge in result.trace:
-            grew = basis.insert(cert.f_vectors[v])
-            steps.append(not grew)
+        steps = tuple(basis.rank == full or not basis.insert(cert.f_vectors[v]) for v, _edge in result.trace)
     return AuditReport(
         percolated=percolated,
         initial_size=len(ids),
         seed_rank=seed_rank,
-        u_size=ctx.u_size,
-        steps_in_span=tuple(steps),
+        u_size=full,
+        steps_in_span=steps,
     )
 
 

@@ -232,6 +232,16 @@ def extremal_set(spec: GridSpec) -> list[Vertex]:
     Returned in row-major order.  This set percolates in both families and is
     a minimum percolating set; the certificate module proves the matching
     lower bound.
+
+    Why it percolates: every "P" edge is a "K" edge, so it suffices to infect
+    every vertex under "P", which goes by induction on the coordinate sum.  A
+    vertex v outside the set has at least r large coordinates, v_k >= t_k;
+    let S be r of them.  The "P" edge that varies each axis k in S over the
+    interval {v_k - t_k + 1, ..., v_k}, which lies in [1, n_k], and fixes the
+    other axes at v's values holds v.  Each of its other vertices lies
+    coordinatewise at or below v and differs from v, so it has a smaller
+    coordinate sum: it is in the set or, by induction, already infected.
+    Then v is the edge's only uninfected vertex, and the edge infects it.
     """
     limit = spec.r - 1
     return [v for v in vertices(spec) if spec.large_count(v) <= limit]

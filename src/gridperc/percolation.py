@@ -81,7 +81,9 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
     of edge sizes.  The counts start at the edge sizes and lose one along the
     incidences of each distinct initial vertex.  Witness edges are chosen by
     the deterministic processing order (ascending edge index per newly
-    infected vertex).
+    infected vertex).  Processing stops once every vertex is infected: no
+    edge can then fire, so the final set and the trace are those of the full
+    run, and the incidences of the vertices still queued are never read.
     """
     infected = bytearray(h.num_vertices)
     init = []
@@ -113,7 +115,8 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
     for e_idx, count in enumerate(remaining):
         if count == 1:
             try_fire(e_idx)
-    while queue:
+    uninfected = h.num_vertices - len(init)
+    while queue and len(trace) < uninfected:
         u = queue.popleft()
         for e_idx in h.incident[u]:
             remaining[e_idx] -= 1

@@ -5,8 +5,8 @@ Each reference is the straightforward form of a kernel the library
 optimizes or builds another way, kept here so tests can require the library
 to give exactly the same results; the per-"K"-edge dependency check is the
 reference for the certificate's "P" walk.  The helpers (coordinate projection,
-per-vertex edge coefficients, the hypergraph text writer and span
-membership) have no caller in the library.
+per-vertex edge coefficients, the hypergraph text writer, span membership
+and the extremal set's infection schedule) have no caller in the library.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import operator
 from collections import deque
 
 from gridperc.exact import dependency_coeffs
-from gridperc.grid import encode_vertex, enumerate_edges, row_major_strides
+from gridperc.grid import decode_vertex, encode_vertex, enumerate_edges, row_major_strides, vertices
 from gridperc.percolation import ClosureResult
 from gridperc.search import Graph
 
@@ -205,3 +205,29 @@ def format_hypergraph(h) -> str:
     lines = [f"p {h.num_vertices} {len(h.edges)}"]
     lines.extend(" ".join(map(str, e)) for e in h.edges)
     return "\n".join(lines) + "\n"
+
+
+def extremal_schedule_failure(spec):
+    """First vertex outside the extremal set that its schedule edge fails to
+    infect, or None.
+
+    This checks the proof in the extremal_set docstring on one spec.  A
+    vertex v with at least r large coordinates gets the edge that varies its
+    first r large axes, axis k over {v_k - t_k + 1, ..., v_k}, and fixes the
+    other axes at v's values.  That edge must be a "P" edge of
+    enumerate_edges holding v, and each of its other vertices must have a
+    smaller coordinate sum than v.
+    """
+    p_edges = {edge[:3]: edge[3] for edge in enumerate_edges(spec, "P")}
+    for v in vertices(spec):
+        large = [k for k in range(1, spec.d + 1) if v[k - 1] >= spec.thick[k - 1]]
+        if len(large) < spec.r:
+            continue
+        varying = tuple(large[: spec.r])
+        values = tuple(tuple(range(v[k - 1] - spec.thick[k - 1] + 1, v[k - 1] + 1)) for k in varying)
+        fixed = tuple(x for k, x in enumerate(v, start=1) if k not in varying)
+        ids = p_edges.get((varying, values, fixed), ())
+        own = encode_vertex(spec, v)
+        if own not in ids or any(sum(decode_vertex(spec, i)) >= sum(v) for i in ids if i != own):
+            return v
+    return None

@@ -604,8 +604,8 @@ class TestAudit:
     @pytest.mark.parametrize("spec", [SPEC_3222, SPEC_INHOM, GridSpec.cube(3, 3, 2, 2)])
     def test_superset_fills_the_basis_with_the_extremal_set(self, spec):
         # Each extremal vector grows the span, so a superset of the extremal
-        # set reaches full rank after exactly u_size inserts; every later
-        # insert finds the basis full.
+        # set reaches full rank after exactly u_size inserts, and no seed or
+        # trace step is inserted after that.
         cert = certified_lower_bound(spec, "K")
         below_full = []
         original = EliminationBasis._reduce
@@ -620,7 +620,7 @@ class TestAudit:
                 report = audit_percolating_set(cert, seeds)
             assert report.ok
             assert sum(below_full) == cert.lower_bound
-            assert len(below_full) > cert.lower_bound
+            assert len(below_full) == cert.lower_bound
 
 
 class TestSerialization:

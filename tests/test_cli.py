@@ -274,8 +274,29 @@ class TestMinperc:
         assert captured.err == "error: extremal set failed to percolate\n"
 
     @pytest.mark.parametrize("family", ["K", "P"])
-    def test_certified_mode_builds_only_the_p_hypergraph(self, capsys, monkeypatch, family):
-        # P edges are K edges, so the witness is closed on P for both families.
+    @pytest.mark.parametrize("damage", ["moved", "repeated"])
+    def test_witness_other_than_the_extremal_set_exits_1(self, capsys, monkeypatch, family, damage):
+        # A set of the right size that is not the extremal set: its first
+        # vertex moved to the top corner, which has d >= r large coordinates,
+        # or its last vertex replaced by a repeat of its first.
+        real = cli.certified_lower_bound
+
+        def damaged(spec, fam):
+            cert = real(spec, fam)
+            u = cert.context.u_vertices
+            u = (spec.dims, *u[1:]) if damage == "moved" else (*u[:-1], u[0])
+            return dataclasses.replace(cert, context=dataclasses.replace(cert.context, u_vertices=u))
+
+        monkeypatch.setattr(cli, "certified_lower_bound", damaged)
+        code = main(["minperc", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", family])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: extremal set failed to percolate\n"
+
+    @pytest.mark.parametrize("family", ["K", "P"])
+    def test_certified_mode_builds_no_hypergraph(self, capsys, monkeypatch, family):
+        # The witness is the extremal set, whose percolation the extremal_set
+        # docstring proves, so it is checked structurally and never closed.
         built = []
         real = percolation.grid_hypergraph
 
@@ -287,7 +308,7 @@ class TestMinperc:
             monkeypatch.setattr(module, "grid_hypergraph", recording)
         code, data = run_json(capsys, ["minperc", "--d", "3", "--r", "2", "--n", "3", "--t", "2", "--family", family])
         assert (code, data["family"], data["mode"]) == (0, family, "certified")
-        assert built == ["P"]
+        assert built == []
 
     def test_modes_agree(self, capsys):
         for family in ("K", "P"):

@@ -18,6 +18,8 @@ from gridperc.grid import (
     family_images,
     vertices,
 )
+import oracles
+from oracles import extremal_schedule_failure
 
 
 def edge_vertices(spec, edge):
@@ -264,6 +266,18 @@ class TestExtremal:
     @pytest.mark.parametrize("spec", SMALL_SPECS + [GridSpec.cube(10, 2, 4, 2), GridSpec((9, 11), (3, 5), 1)])
     def test_size_matches_set(self, spec):
         assert len(extremal_set(spec)) == extremal_size(spec)
+
+    @given(grid_specs())
+    def test_property_schedule_infects_every_vertex_outside_u(self, spec):
+        assert extremal_schedule_failure(spec) is None
+
+    def test_schedule_checker_needs_the_schedule_edge(self, monkeypatch):
+        # On 3^2/t=2/r=2 the last "P" edge, {2, 3} x {2, 3}, is the schedule
+        # edge of (3, 3) alone.
+        spec = GridSpec.cube(3, 2, 2, 2)
+        edges = list(enumerate_edges(spec, "P"))
+        monkeypatch.setattr(oracles, "enumerate_edges", lambda spec, family: edges[:-1])
+        assert extremal_schedule_failure(spec) == (3, 3)
 
     def test_full_rank_closed_form(self):
         # with r = d the sum telescopes to n^d - (n + 1 - t)^d

@@ -232,6 +232,31 @@ class TestClosure:
         initial = data.draw(st.lists(st.integers(0, h.num_vertices - 1)))
         assert closure(h, initial) == reference_closure(h, initial)
 
+    @pytest.mark.parametrize("spec", [GridSpec.cube(3, 2, 2, 2), GridSpec((3, 4), (2, 3), 2), GridSpec.cube(3, 3, 2, 2)])
+    @pytest.mark.parametrize("family", ["K", "P"])
+    def test_no_incidence_is_read_after_the_last_infection(self, spec, family):
+        # Each edge is indexed once, when it fires, so the read of the last
+        # witness edge marks the last infection.
+        log = []
+
+        def recording(kind, items):
+            class Recording(tuple):
+                def __getitem__(self, i):
+                    log.append((kind, i))
+                    return tuple.__getitem__(self, i)
+
+            return Recording(items)
+
+        h = grid_hypergraph(spec, family)
+        ids = [encode_vertex(spec, v) for v in extremal_set(spec)]
+        expected = reference_closure(h, ids)
+        h.edges, h.incident = recording("edge", h.edges), recording("incident", h.incident)
+        result = closure(h, ids)
+        assert result == expected
+        assert len(result.final) == spec.num_vertices
+        last = log.index(("edge", result.trace[-1][1]))
+        assert [entry for entry in log[last:] if entry[0] == "incident"] == []
+
     @given(hypergraphs(), st.data())
     def test_property_monotone_and_idempotent(self, h, data):
         vertex_sets = st.frozensets(st.integers(0, h.num_vertices - 1))
@@ -326,6 +351,19 @@ class TestGridHypergraph:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             grid_hypergraph(GridSpec.cube(3, 2, 2, 2), "Q")
+
+    @given(small_grid_specs(), st.data())
+    def test_property_supersets_of_u_percolate_as_the_reference_says(self, spec, data):
+        # The extremal set percolates on both families, so these closures
+        # stop once every vertex is infected; the result must not change.
+        u = [encode_vertex(spec, v) for v in extremal_set(spec)]
+        extra = data.draw(st.lists(st.integers(0, spec.num_vertices - 1)))
+        for family in ("K", "P"):
+            h = grid_hypergraph(spec, family)
+            for seeds in (u, u + extra):
+                result = closure(h, seeds)
+                assert len(result.final) == spec.num_vertices
+                assert result == reference_closure(h, seeds)
 
     @given(small_grid_specs(), st.data())
     def test_property_p_closure_lies_in_k_closure(self, spec, data):
