@@ -11,6 +11,15 @@ exit_code)``, where ``payload`` is the JSON-ready result and ``table`` holds
 the CSV rows, header row first, or is None on commands without --format.
 ``main`` alone reads --format and --out, serializes, writes, and maps errors
 to exit codes.
+
+``sweep``, certified ``minperc`` and ``audit`` read a certificate only for
+its bound, its extremal set and its vectors, so they build the "P"
+certificate whatever --family says: by the interval lemma in the
+``certified_lower_bound`` docstring its dependency check covers the "K"
+edges too, and the K and P certificates of one spec share their matrices,
+extremal set and vector table, so no output changes.  ``audit`` still
+closes the set on the requested family.  ``certify`` prints the family it
+walked, so it walks --family.
 """
 
 from __future__ import annotations
@@ -177,7 +186,7 @@ def _cmd_certify(args):
 
 def _cmd_audit(args):
     spec = _parse_spec(args)
-    cert = certified_lower_bound(spec, args.family)
+    cert = certified_lower_bound(spec, "P")  # bounds both families by the interval lemma
     if args.infected is not None:
         vertices = [decode_vertex(spec, i) for i in _int_list(args.infected)]
     else:
@@ -185,7 +194,7 @@ def _cmd_audit(args):
     if args.remove:
         drop = {decode_vertex(spec, i) for i in _int_list(args.remove)}
         vertices = [v for v in vertices if v not in drop]
-    report = audit_percolating_set(cert, vertices)
+    report = audit_percolating_set(cert, vertices, family=args.family)
     payload = {
         "family": args.family,
         "initialSize": report.initial_size,
@@ -209,7 +218,7 @@ def _cmd_minperc(args):
             **_found(min_percolating_exact(h, budget=args.budget, images=family_images(spec, args.family))),
         }
     else:
-        cert = certified_lower_bound(spec, args.family)
+        cert = certified_lower_bound(spec, "P")  # bounds both families by the interval lemma
         u = cert.context.u_vertices
         witness = sorted(encode_vertex(spec, v) for v in u)
         # extremal_size(spec) distinct vertices with at most r - 1 large
@@ -292,7 +301,7 @@ def _cmd_sweep(args):
         raise ValueError(f"--brute-tests must be >= 0, got {args.brute_tests}")
     rows = []
     for spec in _sweep_specs(args):
-        cert = certified_lower_bound(spec, "K")
+        cert = certified_lower_bound(spec, "P")  # bounds both families by the interval lemma
         u_size = cert.context.u_size
         for family in families:
             started = time.perf_counter()

@@ -48,13 +48,18 @@ j >= r infected neighbours changes psi by r - j <= 0, and adding any vertex
 x raises it by r - |N(x) & S| <= r.  So no k more picks can make a closed
 state S percolate when psi(S) + r k < psi(V) = r|V| - |E|, and a prefix
 whose closure fails that test has its subtree counted at once.  It skips
-only sets that do not percolate.  On the 6 x 6 grid graph with r = 2,
-psi(V) = 12: size 5 is refuted with no closure work, and at the default
-budget the whole search makes 23 closures, against 75,625 with the
-square's images alone and 239,239 with neither.  The hypergraph search has
-no such test.  Its analogue, |S| minus the edges inside S against
-|V| - |E|, is as sound; it prunes nothing where |V| <= |E|, as on most K
-grids, but on P with r = d that target is the minimum itself.
+only sets that do not percolate.  The test also gives a floor: the least k
+for which the forced vertices' closure with k more picks is not doomed.  No
+smaller set percolates.  When the budget reaches past the floor size, the
+search walks that size first, in full; a percolating set there is the
+answer, within the budget.  Otherwise the downward search runs as above and
+stops above the floor.  On the 6 x 6 grid graph with r = 2, psi(V) = 12 and
+the floor is the minimum 6: at the default budget the whole search makes 11
+closures, against 75,625 with the square's images alone and 239,239 with
+neither.  The hypergraph search has no such test.  Its analogue, |S| minus
+the edges inside S against |V| - |E|, is as sound; it prunes nothing where
+|V| <= |E|, as on most K grids, but on P with r = d that target is the
+minimum itself.
 
 ``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
 search calls one of them once, for the closure of the forced vertices.  The
@@ -229,8 +234,9 @@ def _image_bits(images, num_vertices, edges):
 def _min_subset_search(num_vertices, spread, start, mandatory, budget, images, doomed):
     # ``start`` is the closure of the mandatory set, ``images`` the checked
     # bits of _image_bits, ``doomed`` the prefix test of _first_at_size or
-    # None.  The sizes are searched downward (see the module docstring);
-    # ``tested`` is the answer's position in the plain ascending scan.
+    # None.  Given ``doomed``, the floor size is searched first, then the
+    # sizes downward (see the module docstring); ``tested`` is the answer's
+    # position in the plain ascending scan.
     budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -246,23 +252,40 @@ def _min_subset_search(num_vertices, spread, start, mandatory, budget, images, d
     while len(before) <= nfree and before[-1] < budget:
         before.append(before[-1] + math.comb(nfree, len(before) - 1))
     size = bisect.bisect_left(before, budget) - 1
+    low = 0  # no set smaller than ``low`` percolates
+    if doomed is not None:
+        # The floor: no smaller set percolates.  A size below ``size`` lies
+        # wholly within the budget, so a percolating set at the floor is the
+        # answer.
+        low = next(k for k in range(nfree + 1) if not doomed(start, k))
+        if low < size:
+            found = _first_at_size(free, spread, start, full, low, math.inf, images, doomed)
+            if found is not None:
+                return _result(mandatory, found, before[low])
+            low += 1
     found = _first_at_size(free, spread, start, full, size, budget - before[size], images, doomed)
-    if found is None and size:
+    if found is None and size > low:
         # No size-set percolates within the budget; the minimum is within it
         # only if it is smaller, so the size below must hold a percolating set.
         size -= 1
         found = _first_at_size(free, spread, start, full, size, math.inf, images, doomed)
     if found is None:
         raise SearchBudgetExceeded(budget, budget)
-    while size:
+    while size > low:
         smaller = _first_at_size(free, spread, start, full, size - 1, math.inf, images, doomed)
         if smaller is None:
             break
         size -= 1
         found = smaller
+    return _result(mandatory, found, before[size])
+
+
+def _result(mandatory, found, before_size):
+    # The SearchResult of _first_at_size's (position, picks) at a size whose
+    # scan starts after ``before_size`` candidates.
     position, picks = found
     witness = mandatory + picks
-    return SearchResult(len(witness), tuple(sorted(witness)), before[size] + position)
+    return SearchResult(len(witness), tuple(sorted(witness)), before_size + position)
 
 
 def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images=()) -> SearchResult:

@@ -441,6 +441,17 @@ class TestCertifiedLowerBound:
             certified_lower_bound(spec, family)
         assert walks == [[family, count_edges(spec, family)]]
 
+    @given(small_specs())
+    def test_property_families_share_one_table(self, spec):
+        # The K and P certificates differ only in the edges their dependency
+        # check walks.  sweep, certified minperc and audit build the P one
+        # for either family, and this is why their output keeps its bytes.
+        k, p = certified_lower_bound(spec, "K"), certified_lower_bound(spec, "P")
+        assert k.context.axis_matrices == p.context.axis_matrices
+        assert k.context.u_vertices == p.context.u_vertices
+        assert k.f_vectors == p.f_vectors
+        assert k.lower_bound == p.lower_bound
+
     @given(span_free_damages())
     def test_property_p_walk_agrees_with_k_walk(self, case):
         # The interval lemma: the P sums vanish exactly when the K sums do,

@@ -13,6 +13,7 @@ import pytest
 import gridperc
 from gridperc import certificate, cli, percolation
 from gridperc.cli import main
+from gridperc.grid import count_edges
 from gridperc.percolation import weak_saturation_hypergraph
 from oracles import format_hypergraph
 
@@ -463,6 +464,40 @@ class TestSweep:
         assert captured.err == "error: --brute-tests must be >= 0, got -5\n"
 
 
+class TestCertificateWalk:
+    # The commands that read a certificate only for its bound, U and vectors
+    # check it on the P edges whatever the family; certify still walks the
+    # family it prints.
+    @pytest.mark.parametrize(
+        "argv,family",
+        [
+            (["sweep", "--max-n", "3", "--max-d", "2", "--families"], "K"),
+            (["sweep", "--max-n", "3", "--max-d", "2", "--families"], "P"),
+            (["minperc", "--d", "3", "--r", "2", "--n", "3", "--t", "2", "--family"], "K"),
+            (["minperc", "--r", "2", "--n", "3,4", "--t", "2,3", "--family"], "P"),
+            (["audit", "--d", "3", "--r", "2", "--n", "3", "--t", "2", "--family"], "K"),
+            (["audit", "--r", "2", "--n", "3,4", "--t", "2,3", "--family"], "P"),
+            (["certify", "--d", "3", "--r", "2", "--n", "3", "--t", "2", "--family"], "K"),
+        ],
+    )
+    def test_walks(self, capsys, monkeypatch, argv, family):
+        walks = []  # [spec, family, edges yielded] per walk
+        real = certificate.enumerate_edges
+
+        def spy(spec, fam):
+            walks.append([spec, fam, 0])
+            for edge in real(spec, fam):
+                walks[-1][2] += 1
+                yield edge
+
+        monkeypatch.setattr(certificate, "enumerate_edges", spy)
+        assert main(argv + [family]) == 0
+        capsys.readouterr()
+        walked = "K" if argv[0] == "certify" else "P"
+        assert walks == [[spec, walked, count_edges(spec, walked)] for spec, _, _ in walks]
+        assert len(walks) == (9 if argv[0] == "sweep" else 1)
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
@@ -648,6 +683,18 @@ GOLDEN = {
         (2, "68029528ad9d42dff0edf3d166e14a26de9535f50eaa0cba464b4cbd8ae78d39"),
     "sweep --max-n 2 --max-d 1 --brute-tests -5":
         (2, "f1aa44fb38cb9805a47d1a33a0b7f5021a15b5d3ed70c9b219bbbf82e2874b27"),
+    # Recorded while these commands still built a certificate of the
+    # requested family, on specs where the K and P edge walks differ.
+    "audit --d 3 --n 4 --t 3 --r 2":
+        (0, "2d1adf83f5a2b10c7ab80db1e285d55c31f4f8e523e3e3c0239782caaa0d49d2"),
+    "audit --n 4,5 --t 2,3 --r 2 --remove 0":
+        (1, "dd75cd4d31f9e0bcd6021785a75f242433e1f5011f701e10d9c74d14640934ab"),
+    "minperc --d 3 --n 5 --t 3 --r 2 --format csv":
+        (0, "6497b982bea8dda41db6c7d4647adf67d325f5908fe2f1473a08d69b76a1da6d"),
+    "minperc --n 4,5,6 --t 2,3,4 --r 2":
+        (0, "ce573203ddf47ed6cfa7e097c163ce724dafe6ab3a506d14ebf824588b1b411e"),
+    "sweep --max-n 4 --max-d 3 --families K --format json":
+        (0, "5099eb6046c81582cb9324d28b27bfa1a029f60de58a26c867ef81a66cda93f0"),
 }
 
 

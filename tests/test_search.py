@@ -571,6 +571,22 @@ class TestAgainstPlainScan:
                     plain_scan, g.num_vertices, perc, mandatory, budget
                 )
 
+    @given(st.one_of(graphs(), st.sampled_from([(4, 4), (3, 5), (2, 2, 3)]).map(grid_graph)), st.integers(1, 3))
+    def test_r_neighbour_floor_first(self, g, r):
+        # A budget past the potential's floor size walks the floor first.
+        # Budgets around the answer's position and each size's first one, and
+        # one of 10**18 that reaches every size, keep the plain scan's results
+        # and budget exits.
+        mandatory, perc = graph_oracle(g, r)
+        n = g.num_vertices
+        expected = plain_scan(n, perc, mandatory, 10**18)
+        starts = itertools.accumulate(math.comb(n - len(mandatory), k) for k in range(n - len(mandatory) + 1))
+        budgets = {b + step for b in (0, expected.tested, *starts) for step in (-1, 0, 1) if b + step >= 0}
+        for budget in budgets | {10**18}:
+            assert outcome(min_r_neighbour_percolating, g, r, budget=budget) == outcome(
+                plain_scan, n, perc, mandatory, budget
+            )
+
     @given(graphs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 1000))
     def test_r_neighbour_greedy(self, g, r, trials, seed):
         _, perc = graph_oracle(g, r)
@@ -717,9 +733,10 @@ class TestImages:
 
     def test_six_by_six_search_closure_count(self, monkeypatch, capsys):
         # 239,239 spread calls with neither rule.  The potential test refutes
-        # size 5 before any closure; size 7 and the first percolating 6-set
-        # take 12 and 11.
+        # every size below 6 before any closure, so the search walks size 6
+        # first; its first percolating set takes 11, and size 7 is never
+        # searched.
         calls = counted_spread_calls(monkeypatch)
         assert cli.main(["rneighbour", "--grid", "6,6", "--r", "2", "--exhaustive"]) == 0
         assert '"minimum": 6' in capsys.readouterr().out
-        assert len(calls) == 23
+        assert len(calls) == 11
