@@ -8,16 +8,17 @@ is checked, output and replayed by audits.  Verified properties:
 
 * span: the vectors have full rank (the extremal-set size), because the
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
-* dependency: for every edge of the certificate's family, the vectors of its
+* general position: every (t_k - 1)-row minor of each axis matrix is
+  nonzero (build_context),
+* dependency: for every edge of the walked family, the vectors of its
   vertices, weighted by their edge coefficients, sum to zero.  Either family's
   check covers both: every "P" edge is a "K" edge, and the "P" sums imply the
   "K" sums by the interval lemma (certified_lower_bound).  A vertex's edge
   coefficient is the product over the edge's varying axes of its value's
-  cofactor coefficient, read from the context's per-axis tables; each is
-  nonzero because the matrices are in general position, which building the
-  tables checks.  The edge loop reads each edge's value sets and vertex ids
-  from the one grid edge walk and looks the vectors up in the id-ordered
-  table by id.
+  cofactor coefficient, nonzero by general position; the walk computes these
+  only for the value sets its family uses.  The edge loop reads each edge's
+  value sets and vertex ids from the one grid edge walk and looks the vectors
+  up in the id-ordered table by id.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -34,13 +35,14 @@ from dataclasses import dataclass, field
 
 from .exact import (
     EliminationBasis,
-    GeneralPositionError,
     build_general_position_matrix,
     dependency_coeffs,
+    verify_general_position,
 )
 from .grid import (
     GridSpec,
     Vertex,
+    axis_value_sets,
     check_family,
     encode_vertex,
     enumerate_edges,
@@ -57,19 +59,16 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class CertificateContext:
-    """Fixed data the certificate vectors are built from.
+    """Fixed data the certificate vectors are built from; it depends on the
+    spec only, not on the edge family.
 
     ``axis_matrices[k]`` is the n_k x (t_k - 1) general-position matrix for
-    axis k+1 and ``axis_coeffs[k]`` maps every t_k-subset of its values to
-    their dependency_coeffs; ``u_vertices`` lists the extremal set in
-    row-major order and ``u_index`` maps each of its vertices to a basis
-    position.
+    axis k+1; ``u_vertices`` lists the extremal set in row-major order and
+    ``u_index`` maps each of its vertices to a basis position.
     """
 
     spec: GridSpec
-    family: str
     axis_matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    axis_coeffs: tuple[dict[tuple[int, ...], tuple[int, ...]], ...]
     u_vertices: tuple[Vertex, ...]
     u_index: dict[Vertex, int]
 
@@ -78,24 +77,18 @@ class CertificateContext:
         return len(self.u_vertices)
 
 
-def build_context(spec: GridSpec, family: str = "K") -> CertificateContext:
-    """Build the per-axis matrices, their coefficient tables and the basis indexing.
+def build_context(spec: GridSpec) -> CertificateContext:
+    """Build the per-axis matrices and the basis indexing.
 
-    Every (t_k - 1)-subset of an axis's rows lies in some t_k-subset, so
-    computing the coefficients of all t_k-subsets evaluates every minor of
-    the general-position property; a zero one raises CertificateError.
+    Each axis matrix is checked with verify_general_position, C(n_k, t_k - 1)
+    minors; a zero one raises CertificateError.
     """
-    check_family(family)
     matrices = tuple(build_general_position_matrix(n, t) for n, t in zip(spec.dims, spec.thick))
-    coeffs = []
-    for axis, (m, n, t) in enumerate(zip(matrices, spec.dims, spec.thick), start=1):
-        subsets = itertools.combinations(range(1, n + 1), t)
-        try:
-            coeffs.append({vals: dependency_coeffs(m, vals) for vals in subsets})
-        except GeneralPositionError as exc:
-            raise CertificateError(f"axis {axis} matrix is not in general position: {exc}") from exc
+    for axis, (m, t) in enumerate(zip(matrices, spec.thick), start=1):
+        if not verify_general_position(m, t):
+            raise CertificateError(f"axis {axis} matrix is not in general position")
     u = tuple(extremal_set(spec))
-    return CertificateContext(spec, family, matrices, tuple(coeffs), u, {v: i for i, v in enumerate(u)})
+    return CertificateContext(spec, matrices, u, {v: i for i, v in enumerate(u)})
 
 
 def projection_component(v: Vertex, proj_axes, ctx: CertificateContext) -> list[int]:
@@ -148,8 +141,9 @@ def certificate_vector(v: Vertex, ctx: CertificateContext) -> list[int]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verified certificate: its context and ``f_vectors``, the checked vector
-    table (row-major by vertex id) that outputs and audits read.
+    """Verified certificate: its context, the ``family`` whose edges its
+    dependency check walked, and ``f_vectors``, the checked vector table
+    (row-major by vertex id) that outputs and audits read.
 
     The first audit of a family builds that family's grid hypergraph and the
     certificate keeps it, so later audits of the family reuse it; a build is
@@ -160,6 +154,7 @@ class Certificate:
     """
 
     context: CertificateContext
+    family: str
     f_vectors: tuple[tuple[int, ...], ...] = field(repr=False)
     _hypergraphs: dict[str, Hypergraph] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -180,16 +175,16 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     axis sets inside small(u), all weights being nonnegative.  The |U| x |U|
     block is thus triangular with a positive diagonal, of rank |U|.
     Dependency: for every edge, the vectors of its vertices, weighted by their
-    edge coefficients (products of the context's per-axis coefficients), must
-    sum to zero.  An edge's ids are in row-major order, which is the order of
-    the product of its value sets' coefficients.  The sums run over the edges
-    of the certificate's own family.  Either walk covers both families: a "P"
-    edge is a "K" edge, and the "P" sums imply the "K" sums by the interval
-    lemma.  On axis k, the coefficients lambda_A of a t_k-set A of values
-    combine the rows of M_k listed in A to zero; as vectors indexed by value
-    they lie in the left null space of M_k, of dimension n_k - t_k + 1 since
-    M_k has rank t_k - 1 (building the context checks its minors).  The
-    n_k - t_k + 1 intervals {a, ..., a + t_k - 1} give independent vectors,
+    edge coefficients (products of per-axis dependency_coeffs, computed once
+    for each of the family's value sets), must sum to zero.  An edge's ids
+    are in row-major order, which is the order of the product of its value
+    sets' coefficients.  The sums run over the edges of the certificate's
+    own family.  Either walk covers both families: a "P" edge is a "K" edge,
+    and the "P" sums imply the "K" sums by the interval lemma.  On axis k,
+    the coefficients lambda_A of a t_k-set A of values combine the rows of
+    M_k listed in A to zero; as vectors indexed by value they lie in the
+    left null space of M_k, of dimension n_k - t_k + 1 since M_k has rank
+    t_k - 1 (build_context checks its minors).  The n_k - t_k + 1 intervals {a, ..., a + t_k - 1} give independent vectors,
     each with its last nonzero entry at its own value a + t_k - 1, so they
     span that space and every lambda_A is a rational combination of interval
     vectors.  An edge's sum is multilinear in its varying axes' lambda
@@ -198,7 +193,12 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     CertificateError; on success the lower bound equals the extremal-set
     size.
     """
-    ctx = build_context(spec, family)
+    check_family(family)
+    ctx = build_context(spec)
+    coeffs = [
+        {vals: dependency_coeffs(m, vals) for vals in axis_value_sets(n, t, family)}
+        for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick)
+    ]
     rows = [tuple(certificate_vector(v, ctx)) for v in vertices(spec)]  # in vertex-id order
     sums = [sum(u) for u in ctx.u_vertices]
     for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
@@ -206,8 +206,8 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
         if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
-    for varying, values, fixed, ids in enumerate_edges(spec, ctx.family):
-        lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
+    for varying, values, fixed, ids in enumerate_edges(spec, family):
+        lams = [coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
         total = [0] * ctx.u_size
         for i, cs in zip(ids, itertools.product(*lams)):
             c = math.prod(cs)
@@ -215,7 +215,7 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
         if any(total):
             raise CertificateError(f"nonzero dependency sum for edge {(varying, values, fixed)}")
 
-    return Certificate(ctx, tuple(rows))
+    return Certificate(ctx, family, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     """
     ctx = cert.context
     spec = ctx.spec
-    fam = check_family(family) if family is not None else ctx.family
+    fam = check_family(family) if family is not None else cert.family
     seeds = {encode_vertex(spec, v): v for v in map(tuple, initial)}
     ids = sorted(seeds)
 
@@ -308,7 +308,7 @@ def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> d
     ctx = cert.context
     out = {
         "spec": {"dims": list(ctx.spec.dims), "thick": list(ctx.spec.thick), "r": ctx.spec.r},
-        "family": ctx.family,
+        "family": cert.family,
         "axisMatrices": [[list(row) for row in m] for m in ctx.axis_matrices],
         "lowerBound": cert.lower_bound,
         "verifiedSpan": True,

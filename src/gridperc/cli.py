@@ -13,13 +13,11 @@ the CSV rows, header row first, or is None on commands without --format.
 to exit codes.
 
 ``sweep``, certified ``minperc`` and ``audit`` read a certificate only for
-its bound, its extremal set and its vectors, so they build the "P"
-certificate whatever --family says: by the interval lemma in the
-``certified_lower_bound`` docstring its dependency check covers the "K"
-edges too, and the K and P certificates of one spec share their matrices,
-extremal set and vector table, so no output changes.  ``audit`` still
-closes the set on the requested family.  ``certify`` prints the family it
-walked, so it walks --family.
+its bound, its extremal set and its vectors, which do not depend on the
+family, so they walk the "P" edges whatever --family says; by the interval
+lemma in ``certified_lower_bound`` that check covers the "K" edges too.
+``audit`` still closes the set on --family.  ``certify`` walks --family,
+the family it prints.
 """
 
 from __future__ import annotations

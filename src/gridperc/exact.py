@@ -139,9 +139,6 @@ def build_general_position_matrix(n: int, t: int) -> tuple[tuple[int, ...], ...]
     Every (t-1)-subset of rows is independent: expanding along the identity
     rows reduces any such minor to a generalized Vandermonde minor with
     distinct nodes >= t and distinct exponents, which is strictly positive.
-    Certification establishes the property by computing every t-subset's
-    nonzero dependency_coeffs; the tests re-check it with
-    verify_general_position.
     """
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
@@ -151,7 +148,9 @@ def build_general_position_matrix(n: int, t: int) -> tuple[tuple[int, ...], ...]
 
 
 def verify_general_position(matrix, t: int) -> bool:
-    """Exhaustively check that every (t-1)-subset of rows is independent."""
+    """Exhaustively check that every (t-1)-subset of rows is independent:
+    C(n, t-1) determinants for n rows.  certificate.build_context calls it
+    on each axis matrix."""
     rows = _as_rows(matrix)
     if len(rows[0]) != t - 1:
         raise ValueError(f"expected {t - 1} columns, got {len(rows[0])}")

@@ -167,8 +167,10 @@ def family_images(spec: GridSpec, family: str) -> list[tuple[int, ...]]:
     return images
 
 
-def _axis_value_sets(n: int, t: int, family: str):
-    if family == "K":
+def axis_value_sets(n: int, t: int, family: str):
+    """The family's t-sets of values on an axis of length n, lexicographic:
+    every t-subset for "K", the n - t + 1 intervals for "P"."""
+    if check_family(family) == "K":
         yield from itertools.combinations(range(1, n + 1), t)
     else:
         for a in range(1, n - t + 2):
@@ -195,7 +197,7 @@ def enumerate_edges(spec: GridSpec, family: str):
     strides = row_major_strides(spec.dims)
     axes = range(1, spec.d + 1)
     for varying in itertools.combinations(axes, spec.r):
-        value_sets = [list(_axis_value_sets(spec.dims[k - 1], spec.thick[k - 1], family)) for k in varying]
+        value_sets = [list(axis_value_sets(spec.dims[k - 1], spec.thick[k - 1], family)) for k in varying]
         step_sets = [
             [[(x - 1) * strides[k - 1] for x in vals] for vals in sets]
             for k, sets in zip(varying, value_sets)

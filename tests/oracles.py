@@ -185,11 +185,13 @@ def reference_dependency_failure(ctx, rows):
 
     ``rows`` is a vector table in vertex-id order.  This is the walk over
     every "K" edge that the certificate's "P" walk must agree with, by the
-    interval lemma in certified_lower_bound.
+    interval lemma in certified_lower_bound.  Each edge's coefficients come
+    from dependency_coeffs on the context's matrices, not from a library
+    table.
     """
     for edge in enumerate_edges(ctx.spec, "K"):
         varying, values, _fixed, ids = edge
-        lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
+        lams = [dependency_coeffs(ctx.axis_matrices[axis - 1], vals) for axis, vals in zip(varying, values)]
         total = [0] * ctx.u_size
         for i, cs in zip(ids, itertools.product(*lams)):
             c = math.prod(cs)

@@ -129,7 +129,7 @@ def check_criterion_4():
     started = time.perf_counter()
     edges_checked = 0
     for spec in sweep_specs():
-        ctx = build_context(spec, "K")
+        ctx = build_context(spec)
         p = spec.d - spec.r + 1
         axis_sets = list(itertools.combinations(range(1, spec.d + 1), p))
         component_cache = {}

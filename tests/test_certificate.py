@@ -22,7 +22,7 @@ from gridperc.certificate import (
     projection_component,
 )
 from gridperc.cli import main
-from gridperc.exact import EliminationBasis, matrix_rank
+from gridperc.exact import EliminationBasis, dependency_coeffs, matrix_rank
 from gridperc.grid import (
     FAMILIES,
     GridSpec,
@@ -122,7 +122,7 @@ def reference_audit(cert, initial, family=None):
     ctx = cert.context
     spec = ctx.spec
     nv = spec.num_vertices
-    edges = [e[3] for e in enumerate_edges(spec, family or ctx.family)]
+    edges = [e[3] for e in enumerate_edges(spec, family or cert.family)]
     ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
     result = reference_closure(Hypergraph(nv, canonical_edges(nv, edges)), ids)
     percolated = len(result.final) == spec.num_vertices
@@ -273,12 +273,12 @@ class TestEdgeCoefficient:
     @given(small_specs())
     def test_property_table_products_follow_id_order(self, spec):
         # certified_lower_bound pairs an edge's ids with the product of its
-        # value sets' coefficients from ctx.axis_coeffs; each product must be
-        # the coefficient of the vertex with that id.
+        # value sets' dependency_coeffs; each product must be the coefficient
+        # of the vertex with that id.
         ctx = build_context(spec)
         for edge in enumerate_edges(spec, "K"):
             varying, values, _, ids = edge
-            lams = [ctx.axis_coeffs[axis - 1][vals] for axis, vals in zip(varying, values)]
+            lams = [dependency_coeffs(ctx.axis_matrices[axis - 1], vals) for axis, vals in zip(varying, values)]
             products = [math.prod(cs) for cs in itertools.product(*lams)]
             assert len(products) == len(ids)
             assert products == [edge_coefficient(edge, v, ctx) for v in edge_vertices(spec, edge)]
@@ -343,7 +343,7 @@ class TestCertifiedLowerBound:
     def test_interval_family_request(self):
         cert = certified_lower_bound(SPEC_3222, "P")
         assert cert.lower_bound == 5
-        assert cert.context.family == "P"
+        assert cert.family == "P"
 
     @pytest.mark.parametrize(
         "spec",
@@ -441,6 +441,44 @@ class TestCertifiedLowerBound:
             certified_lower_bound(spec, family)
         assert walks == [[family, count_edges(spec, family)]]
 
+    @pytest.mark.parametrize("spec", [SPEC_3232, SPEC_INHOM, GridSpec((4, 5, 3), (3, 2, 3), 2)])
+    def test_coefficients_only_for_the_walked_family(self, spec):
+        # The context checks each axis matrix for general position once and
+        # computes no dependency coefficient; a certificate computes one per
+        # value set of the family it walks: every t_k-subset for K, every
+        # interval for P.
+        coeffs = mock.patch.object(certificate, "dependency_coeffs", wraps=certificate.dependency_coeffs)
+        checks = mock.patch.object(certificate, "verify_general_position", wraps=certificate.verify_general_position)
+        computed = {}
+        with coeffs as counted, checks as checked:
+            ctx = build_context(spec)
+            computed[None] = counted.call_count
+            for family in FAMILIES:
+                counted.reset_mock()
+                certified_lower_bound(spec, family)
+                computed[family] = counted.call_count
+        axes = list(zip(spec.dims, spec.thick))
+        assert computed == {
+            None: 0,
+            "K": sum(math.comb(n, t) for n, t in axes),
+            "P": sum(n - t + 1 for n, t in axes),
+        }
+        one_per_axis = list(zip(ctx.axis_matrices, spec.thick))
+        assert [c.args for c in checked.call_args_list] == one_per_axis * (1 + len(FAMILIES))
+
+    def test_unknown_family_is_rejected_before_any_work(self):
+        cert = certified_lower_bound(SPEC_3222, "K")
+        contexts = mock.patch.object(certificate, "build_context", wraps=build_context)
+        vectors = mock.patch.object(certificate, "certificate_vector", wraps=certificate_vector)
+        builds = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
+        with contexts as contexted, vectors as computed, builds as built:
+            with pytest.raises(ValueError, match="unknown edge family 'Q'"):
+                certified_lower_bound(SPEC_3222, "Q")
+            with pytest.raises(ValueError, match="unknown edge family 'Q'"):
+                audit_percolating_set(cert, extremal_set(SPEC_3222), family="Q")
+        assert (contexted.call_count, computed.call_count, built.call_count) == (0, 0, 0)
+        assert cert._hypergraphs == {}
+
     @given(small_specs())
     def test_property_families_share_one_table(self, spec):
         # The K and P certificates differ only in the edges their dependency
@@ -487,22 +525,33 @@ class TestCertifiedLowerBound:
         assert data["fVectors"] == [[str(x) for x in row] for row in rows]
 
     def test_degenerate_matrix_is_rejected(self, monkeypatch, capsys):
-        # Two equal power rows on the t = 3 axis make some minors zero.
+        # On the t = 3 axis of length 4, two equal power rows make the minor
+        # of rows {3, 4} zero; a last row parallel to the first makes only the
+        # minor of rows {1, 4} zero.  No interval of three values holds both 1
+        # and 4, so in that case no "P" coefficient is zero, and only the
+        # general-position check can reject the matrix.  One test over both
+        # damages and both families.
         original = certificate.build_general_position_matrix
+        damages = {
+            "equal_power_rows": lambda rows: rows[-2],
+            "parallel_end_rows": lambda rows: tuple(2 * x for x in rows[0]),
+        }
+        damage = None
 
         def degenerate(n, t):
             rows = list(original(n, t))
             if t == 3:
-                rows[-1] = rows[-2]
+                rows[-1] = damages[damage](rows)
             return tuple(rows)
 
         monkeypatch.setattr(certificate, "build_general_position_matrix", degenerate)
-        with pytest.raises(CertificateError, match="axis 2"):
-            certified_lower_bound(SPEC_INHOM, "K")
-        assert main(["certify", "--n", "3,4", "--t", "2,3", "--r", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: axis 2 matrix")
+        for damage, family in itertools.product(damages, FAMILIES):
+            with pytest.raises(CertificateError, match="axis 2"):
+                certified_lower_bound(SPEC_INHOM, family)
+            assert main(["certify", "--n", "3,4", "--t", "2,3", "--r", "2", "--family", family]) == 1, (damage, family)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: axis 2 matrix"), (damage, family)
 
 
 class TestAudit:

@@ -9,6 +9,7 @@ from gridperc.grid import (
     FAMILIES,
     GridSpec,
     axis_images,
+    axis_value_sets,
     count_edges,
     decode_vertex,
     encode_vertex,
@@ -218,6 +219,8 @@ class TestEdges:
             count_edges(GridSpec.cube(3, 2, 2, 2), "Q")
         with pytest.raises(ValueError):
             next(enumerate_edges(GridSpec.cube(3, 2, 2, 2), "Q"))
+        with pytest.raises(ValueError):
+            next(axis_value_sets(3, 2, "Q"))
 
     @settings(max_examples=60)
     @given(grid_specs(max_d=4, max_n=5), st.sampled_from(FAMILIES))
