@@ -218,26 +218,35 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     return Certificate(ctx, family, tuple(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditReport:
     """Outcome of auditing a candidate set against a verified certificate.
 
     Failures are report contents, never exceptions.  When the set percolates,
-    ``steps_in_span[i]`` records whether the i-th traced infection's vector
-    was already in the span of the seed vectors plus earlier steps (it always
-    is for a valid certificate), and ``seed_rank`` is the rank of the set's
-    own vectors, which then necessarily equals the full basis size.
+    ``num_steps`` counts its traced infections and ``steps_out_of_span`` lists,
+    ascending, the indices of those whose vector was not already in the span
+    of the seed vectors plus earlier steps (none, for a valid certificate);
+    a set that does not percolate has no steps.  ``seed_rank`` is the rank of
+    the set's own vectors, which for a percolating set of a valid certificate
+    equals the full basis size.  ``steps_in_span``, one bool per step, is
+    derived from these two fields.
     """
 
     percolated: bool
     initial_size: int
     seed_rank: int
     u_size: int
-    steps_in_span: tuple[bool, ...]
+    num_steps: int
+    steps_out_of_span: tuple[int, ...]
+
+    @property
+    def steps_in_span(self) -> tuple[bool, ...]:
+        out = set(self.steps_out_of_span)
+        return tuple(i not in out for i in range(self.num_steps))
 
     @property
     def all_steps_in_span(self) -> bool:
-        return all(self.steps_in_span)
+        return not self.steps_out_of_span
 
     @property
     def ok(self) -> bool:
@@ -249,18 +258,25 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
 
     ``initial`` is an iterable of vertex coordinate tuples; ``family``
     defaults to the certificate's.  The closure runs on that family's
-    hypergraph; if it percolates, the trace is walked in order, asserting that
-    no step's vector enlarges the span of what came before.
+    hypergraph; if it percolates, the trace is walked in order, recording
+    every step whose vector enlarges the span of what came before.
 
-    The seed vectors enter the basis extremal vertices first, then the others,
-    ids ascending within each group.  The extremal vectors form the triangular
-    block that certified_lower_bound verified, so each of them grows the span,
-    and a seed set holding the extremal set is at full rank after u_size
-    inserts.  Rank cannot exceed u_size, so once it reaches u_size no later
-    seed or trace step is inserted: every insert would return False, and each
-    remaining step is recorded as in span.  Rank does not depend on insertion
-    order and the trace steps still follow all seeds, so the report is the
-    same as for any other seed order.
+    Every vector enters the basis with its entries reversed, and the seeds
+    enter extremal vertices first, then the others, ids descending within
+    each group.  An extremal vertex u's row is nonzero only at the positions
+    of extremal vertices coordinatewise at or below u (small coordinates
+    stay, since the first t_k - 1 rows of M_k are the identity, and large
+    ones drop below t_k), which come at or before u in row-major order.
+    Reversed, its first nonzero entry is its own positive diagonal, and it is
+    zero at every earlier pivot, which belongs to a larger id: a verified
+    certificate's extremal seeds meet only zero multipliers and enter without
+    elimination, and a superset of the extremal set is at full rank after
+    u_size inserts.  A damaged table still goes through full elimination.
+    Once the rank reaches u_size, which it cannot exceed, no later seed or
+    trace step is inserted: each would be in span.  Rank and span membership
+    do not change under a fixed column permutation or another seed order,
+    and the trace steps still follow all seeds, so the report is that of a
+    plain id-order replay.
 
     The certificate keeps each family's hypergraph after its first audit of
     that family (about 1.5 MiB for the K build of 6^3/t=3/r=2, see
@@ -281,21 +297,23 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
 
     full = ctx.u_size
     basis = EliminationBasis(full)
-    for a in sorted(ids, key=lambda a: seeds[a] not in ctx.u_index):
+    for a in sorted(reversed(ids), key=lambda a: seeds[a] not in ctx.u_index):
         if basis.rank == full:
             break
-        basis.insert(cert.f_vectors[a])
+        basis.insert(cert.f_vectors[a][::-1])
     seed_rank = basis.rank
 
-    steps = ()
-    if percolated:
-        steps = tuple(basis.rank == full or not basis.insert(cert.f_vectors[v]) for v, _edge in result.trace)
+    trace = result.trace if percolated else ()
+    grew = tuple(
+        i for i, (v, _edge) in enumerate(trace) if basis.rank < full and basis.insert(cert.f_vectors[v][::-1])
+    )
     return AuditReport(
         percolated=percolated,
         initial_size=len(ids),
         seed_rank=seed_rank,
         u_size=full,
-        steps_in_span=steps,
+        num_steps=len(trace),
+        steps_out_of_span=grew,
     )
 
 

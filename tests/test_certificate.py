@@ -113,12 +113,13 @@ def edge_vertices(spec, edge):
     return [decode_vertex(spec, i) for i in edge[3]]
 
 
-def reference_audit(cert, initial, family=None):
+def reference_replay(cert, initial, family=None):
     """Audit with the seed vectors inserted in id order, on a hypergraph built
     through canonical_edges from the enumerated edges' ids (which the grid
     tests check against the codec).  The closure and the elimination are the
     plain reference kernels, so a fault in the library's kernels shows as a
-    different report."""
+    different result.  Returns whether the set percolated, its size, its seed
+    rank and one bool per trace step, True when the step was in span."""
     ctx = cert.context
     spec = ctx.spec
     nv = spec.num_vertices
@@ -131,7 +132,14 @@ def reference_audit(cert, initial, family=None):
         basis.insert(cert.f_vectors[a])
     seed_rank = basis.rank
     steps = tuple(not basis.insert(cert.f_vectors[v]) for v, _ in result.trace) if percolated else ()
-    return AuditReport(percolated, len(ids), seed_rank, ctx.u_size, steps)
+    return percolated, len(ids), seed_rank, steps
+
+
+def reference_audit(cert, initial, family=None):
+    """The report of reference_replay, built from its bool per step."""
+    percolated, size, seed_rank, steps = reference_replay(cert, initial, family)
+    out_of_span = tuple(i for i, in_span in enumerate(steps) if not in_span)
+    return AuditReport(percolated, size, seed_rank, cert.context.u_size, len(steps), out_of_span)
 
 
 def damaged_certificate(cert):
@@ -562,7 +570,12 @@ class TestAudit:
         assert report.seed_rank == 5
         assert report.all_steps_in_span
         assert report.ok
-        assert len(report.steps_in_span) == 4
+        assert len(report.steps_in_span) == report.num_steps == 4
+        assert report.steps_out_of_span == ()
+        # frozen, with slots: one report holds its six fields and no dict
+        assert not hasattr(report, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.num_steps = 0
 
     def test_full_vertex_set(self):
         cert = certified_lower_bound(SPEC_3222, "K")
@@ -600,7 +613,11 @@ class TestAudit:
     def test_property_seed_order_changes_no_report(self, case):
         spec, family, seeds = case
         cert = certified_lower_bound(spec, "K")
-        assert audit_percolating_set(cert, seeds, family) == reference_audit(cert, seeds, family)
+        report = audit_percolating_set(cert, seeds, family)
+        assert report == reference_audit(cert, seeds, family)
+        if report.percolated:
+            assert report.steps_out_of_span == ()
+            assert len(report.steps_in_span) == report.num_steps
         damaged = damaged_certificate(cert)
         assert audit_percolating_set(damaged, seeds, family) == reference_audit(damaged, seeds, family)
 
@@ -656,6 +673,9 @@ class TestAudit:
         u = extremal_set(spec)
         report = audit_percolating_set(damaged, u, family)
         assert report == reference_audit(damaged, u, family)
+        steps = reference_replay(damaged, u, family)[3]
+        assert report.steps_out_of_span == tuple(i for i, in_span in enumerate(steps) if not in_span)
+        assert report.steps_in_span == steps
         assert report.percolated
         assert report.seed_rank == damaged.lower_bound - 1
         assert not report.all_steps_in_span
@@ -681,6 +701,39 @@ class TestAudit:
             assert report.ok
             assert sum(below_full) == cert.lower_bound
             assert len(below_full) == cert.lower_bound
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("spec", [
+        SPEC_3222,
+        SPEC_INHOM,
+        GridSpec((3, 4, 3), (2, 3, 2), 1),
+        GridSpec.cube(3, 3, 2, 3),
+        GridSpec.cube(4, 3, 3, 2),
+    ])
+    def test_extremal_seeds_need_no_elimination(self, spec, family):
+        # Reversed, an extremal row's first nonzero entry is its own diagonal
+        # and it is zero at the pivots of the larger ids inserted before it,
+        # so every reduction step has a zero multiplier.  Before an insert's
+        # first nonzero multiplier every step only rescales, so that
+        # multiplier is the vector's own entry at a pivot column: an insert
+        # eliminates iff the vector is nonzero at some earlier pivot.
+        cert = certified_lower_bound(spec, family)
+        u = extremal_set(spec)
+        outside = [v for v in vertices(spec) if v not in set(u)]
+        eliminating = []
+        original = EliminationBasis._reduce
+
+        def counting(self, vector):
+            eliminating.append(any(vector[c] for c in self._pivot_cols))
+            return original(self, vector)
+
+        for seeds in (u, outside[::2] + u[::-1] + outside[1::2]):
+            eliminating.clear()
+            with mock.patch.object(EliminationBasis, "_reduce", counting):
+                report = audit_percolating_set(cert, seeds)
+            assert report.ok
+            assert len(eliminating) == cert.lower_bound
+            assert sum(eliminating) == 0
 
 
 class TestSerialization:

@@ -695,6 +695,15 @@ GOLDEN = {
         (0, "ce573203ddf47ed6cfa7e097c163ce724dafe6ab3a506d14ebf824588b1b411e"),
     "sweep --max-n 4 --max-d 3 --families K --format json":
         (0, "5099eb6046c81582cb9324d28b27bfa1a029f60de58a26c867ef81a66cda93f0"),
+    # Recorded while the audit still inserted its seeds in ascending id
+    # order: the extremal set of 4^3/t=3/r=2 plus four outside vertices,
+    # given unsorted, whose 28 trace steps fill ``stepsInSpan``.
+    "audit --d 3 --n 4 --t 3 --r 2 --family K --infected "
+    "42,10,13,4,21,2,24,29,33,36,16,7,18,19,49,5,12,20,6,25,28,48,3,27,22,9,53,8,63,37,1,52,23,17,0,32":
+        (0, "9aeada5c6fa38c3a5ba50c05ade5f48165085b6f92fb40fa0caa87787e0186c6"),
+    "audit --d 3 --n 4 --t 3 --r 2 --family P --infected "
+    "42,10,13,4,21,2,24,29,33,36,16,7,18,19,49,5,12,20,6,25,28,48,3,27,22,9,53,8,63,37,1,52,23,17,0,32":
+        (0, "68a97efac927d3c8d269329b2e3406029fbabaaa431ec84621668c6757d341d3"),
 }
 
 

@@ -352,6 +352,23 @@ class TestEliminationBasis:
                 assert in_span(basis, probe) == in_span(growing_only, probe)
             prefix_rank = rank
 
+    @given(st.one_of(matrices(), zero_heavy_matrices()), st.data())
+    def test_property_reversed_columns_and_permuted_order_keep_every_verdict(self, rows, data):
+        # The audit inserts reversed rows in its own order; rank and span
+        # membership must be those of the plain elimination in given order.
+        n = len(rows[0])
+        probes = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        probes += [*rows, [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]]
+        ref, basis = ReferenceBasis(n), EliminationBasis(n)
+        for row in rows:
+            ref.insert(row)
+        for row in data.draw(st.permutations(rows)):
+            basis.insert(row[::-1])
+        assert basis.rank == ref.rank
+        for probe in probes:
+            assert in_span(basis, probe[::-1]) == in_span(ref, probe)
+
 
 class TestDeferredRescale:
     """EliminationBasis skips zero-multiplier steps; ReferenceBasis carries
