@@ -10,15 +10,15 @@ is checked, output and replayed by audits.  Verified properties:
   extremal vertices' own vectors form a triangular block (certified_lower_bound),
 * general position: every (t_k - 1)-row minor of each axis matrix is
   nonzero (build_context),
-* dependency: for every edge of the walked family, the vectors of its
-  vertices, weighted by their edge coefficients, sum to zero.  Either family's
-  check covers both: every "P" edge is a "K" edge, and the "P" sums imply the
-  "K" sums by the interval lemma (certified_lower_bound).  A vertex's edge
-  coefficient is the product over the edge's varying axes of its value's
-  cofactor coefficient, nonzero by general position; the walk computes these
-  only for the value sets its family uses.  The edge loop reads each edge's
-  value sets and vertex ids from the one grid edge walk and looks the vectors
-  up in the id-ordered table by id.
+* dependency: for every edge of the family the caller names, the vectors of
+  its vertices, weighted by their edge coefficients, sum to zero.  Either
+  family's check covers both: every "P" edge is a "K" edge, and the "P" sums
+  imply the "K" sums by the interval lemma (certified_lower_bound).  A
+  vertex's edge coefficient is the product over the edge's varying axes of its
+  value's cofactor coefficient, nonzero by general position; the walk computes
+  these only for the value sets its family uses.  The edge loop reads each
+  edge's value sets and vertex ids from the one grid edge walk and looks the
+  vectors up in the id-ordered table by id.
 
 Together these imply that the span of any percolating set's vectors never
 grows while replaying its infection trace, yet must end at full rank, so no
@@ -141,9 +141,9 @@ def certificate_vector(v: Vertex, ctx: CertificateContext) -> list[int]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verified certificate: its context, the ``family`` whose edges its
-    dependency check walked, and ``f_vectors``, the checked vector table
-    (row-major by vertex id) that outputs and audits read.
+    """Verified certificate: its context and ``f_vectors``, the checked
+    vector table (row-major by vertex id) that outputs and audits read.  Both
+    depend on the spec only, so the certificate records no family.
 
     The first audit of a family builds that family's grid hypergraph and the
     certificate keeps it, so later audits of the family reuse it; a build is
@@ -154,7 +154,6 @@ class Certificate:
     """
 
     context: CertificateContext
-    family: str
     f_vectors: tuple[tuple[int, ...], ...] = field(repr=False)
     _hypergraphs: dict[str, Hypergraph] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -163,7 +162,7 @@ class Certificate:
         return self.context.u_size
 
 
-def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
+def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
     """Build the certificate and verify it exactly.
 
     Every vertex's certificate_vector is computed once, into the table that
@@ -176,22 +175,22 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
     block is thus triangular with a positive diagonal, of rank |U|.
     Dependency: for every edge, the vectors of its vertices, weighted by their
     edge coefficients (products of per-axis dependency_coeffs, computed once
-    for each of the family's value sets), must sum to zero.  An edge's ids
-    are in row-major order, which is the order of the product of its value
-    sets' coefficients.  The sums run over the edges of the certificate's
-    own family.  Either walk covers both families: a "P" edge is a "K" edge,
-    and the "P" sums imply the "K" sums by the interval lemma.  On axis k,
-    the coefficients lambda_A of a t_k-set A of values combine the rows of
-    M_k listed in A to zero; as vectors indexed by value they lie in the
-    left null space of M_k, of dimension n_k - t_k + 1 since M_k has rank
-    t_k - 1 (build_context checks its minors).  The n_k - t_k + 1 intervals {a, ..., a + t_k - 1} give independent vectors,
-    each with its last nonzero entry at its own value a + t_k - 1, so they
-    span that space and every lambda_A is a rational combination of interval
-    vectors.  An edge's sum is multilinear in its varying axes' lambda
-    vectors, so every "K" edge's sum is a combination of the sums of the "P"
-    edges with the same varying axes and fixed values.  Any failure raises
-    CertificateError; on success the lower bound equals the extremal-set
-    size.
+    for each of the family's value sets), must sum to zero.  An edge's ids are
+    in row-major order, which is the order of the product of its value sets'
+    coefficients.  The sums run over the edges of ``family``; the certificate
+    returned is the same for either.  Either walk covers both families: a "P"
+    edge is a "K" edge, and the "P" sums imply the "K" sums by the interval
+    lemma.  On axis k, the coefficients lambda_A of a t_k-set A of values
+    combine the rows of M_k listed in A to zero; as vectors indexed by value
+    they lie in the left null space of M_k, of dimension n_k - t_k + 1 since
+    M_k has rank t_k - 1 (build_context checks its minors).  The n_k - t_k + 1
+    intervals {a, ..., a + t_k - 1} give independent vectors, each with its
+    last nonzero entry at its own value a + t_k - 1, so they span that space
+    and every lambda_A is a rational combination of interval vectors.  An
+    edge's sum is multilinear in its varying axes' lambda vectors, so every
+    "K" edge's sum is a combination of the sums of the "P" edges with the same
+    varying axes and fixed values.  Any failure raises CertificateError; on
+    success the lower bound equals the extremal-set size.
     """
     check_family(family)
     ctx = build_context(spec)
@@ -215,7 +214,7 @@ def certified_lower_bound(spec: GridSpec, family: str = "K") -> Certificate:
         if any(total):
             raise CertificateError(f"nonzero dependency sum for edge {(varying, values, fixed)}")
 
-    return Certificate(ctx, family, tuple(rows))
+    return Certificate(ctx, tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,13 +252,13 @@ class AuditReport:
         return self.percolated and self.all_steps_in_span and self.seed_rank == self.u_size
 
 
-def audit_percolating_set(cert: Certificate, initial, family: str | None = None) -> AuditReport:
+def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditReport:
     """Replay a closure run from ``initial`` through the certificate algebra.
 
-    ``initial`` is an iterable of vertex coordinate tuples; ``family``
-    defaults to the certificate's.  The closure runs on that family's
-    hypergraph; if it percolates, the trace is walked in order, recording
-    every step whose vector enlarges the span of what came before.
+    ``initial`` is an iterable of vertex coordinate tuples.  The closure runs
+    on the hypergraph of the caller's ``family``; if it percolates, the trace
+    is walked in order, recording every step whose vector enlarges the span of
+    what came before.
 
     Every vector enters the basis with its entries reversed, and the seeds
     enter extremal vertices first, then the others, ids descending within
@@ -285,13 +284,13 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     """
     ctx = cert.context
     spec = ctx.spec
-    fam = check_family(family) if family is not None else cert.family
+    check_family(family)
     seeds = {encode_vertex(spec, v): v for v in map(tuple, initial)}
     ids = sorted(seeds)
 
-    hypergraph = cert._hypergraphs.get(fam)
+    hypergraph = cert._hypergraphs.get(family)
     if hypergraph is None:
-        hypergraph = cert._hypergraphs[fam] = grid_hypergraph(spec, fam)
+        hypergraph = cert._hypergraphs[family] = grid_hypergraph(spec, family)
     result = closure(hypergraph, ids)
     percolated = len(result.final) == spec.num_vertices
 
@@ -317,8 +316,8 @@ def audit_percolating_set(cert: Certificate, initial, family: str | None = None)
     )
 
 
-def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> dict:
-    """JSON-ready form of a certificate.
+def certificate_to_dict(cert: Certificate, family: str, include_f_vectors: bool = False) -> dict:
+    """JSON-ready form of a certificate, labelled with the caller's ``family``.
 
     Vector entries are serialized as decimal integer strings; with the fixed
     matrix rule and enumeration order the output is byte-reproducible.
@@ -326,7 +325,7 @@ def certificate_to_dict(cert: Certificate, include_f_vectors: bool = False) -> d
     ctx = cert.context
     out = {
         "spec": {"dims": list(ctx.spec.dims), "thick": list(ctx.spec.thick), "r": ctx.spec.r},
-        "family": cert.family,
+        "family": check_family(family),
         "axisMatrices": [[list(row) for row in m] for m in ctx.axis_matrices],
         "lowerBound": cert.lower_bound,
         "verifiedSpan": True,

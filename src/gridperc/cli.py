@@ -12,12 +12,11 @@ the CSV rows, header row first, or is None on commands without --format.
 ``main`` alone reads --format and --out, serializes, writes, and maps errors
 to exit codes.
 
-``sweep``, certified ``minperc`` and ``audit`` read a certificate only for
-its bound, its extremal set and its vectors, which do not depend on the
-family, so they walk the "P" edges whatever --family says; by the interval
-lemma in ``certified_lower_bound`` that check covers the "K" edges too.
-``audit`` still closes the set on --family.  ``certify`` walks --family,
-the family it prints.
+A certificate depends on the spec only, and the family belongs to the
+caller: ``certify`` walks and prints --family, and ``audit`` closes the set
+on it.  ``sweep``, certified ``minperc`` and ``audit`` walk the "P" edges
+whatever --family says; by the interval lemma in ``certified_lower_bound``
+that check covers the "K" edges too.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def _cmd_closure(args):
 def _cmd_certify(args):
     spec = _parse_spec(args)
     cert = certified_lower_bound(spec, args.family)
-    return certificate_to_dict(cert, include_f_vectors=args.include_f_vectors), None, 0
+    return certificate_to_dict(cert, args.family, args.include_f_vectors), None, 0
 
 
 def _cmd_audit(args):
@@ -192,7 +191,7 @@ def _cmd_audit(args):
     if args.remove:
         drop = {decode_vertex(spec, i) for i in _int_list(args.remove)}
         vertices = [v for v in vertices if v not in drop]
-    report = audit_percolating_set(cert, vertices, family=args.family)
+    report = audit_percolating_set(cert, vertices, args.family)
     payload = {
         "family": args.family,
         "initialSize": report.initial_size,

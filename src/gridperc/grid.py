@@ -235,6 +235,14 @@ def extremal_set(spec: GridSpec) -> list[Vertex]:
     a minimum percolating set; the certificate module proves the matching
     lower bound.
 
+    The set is built from its large-axis sets, not by filtering every vertex:
+    for each set S of at most r-1 axes, the vertices whose large coordinates
+    are exactly those on S form the product of {t_k, ..., n_k} on S and
+    {1, ..., t_k - 1} elsewhere.  These products are disjoint and cover the
+    set, which is then sorted into row-major order, so the work grows with
+    |U|, not |V| (3^30 vertices for one extremal vertex at n=3, t=2, r=1,
+    d=30).
+
     Why it percolates: every "P" edge is a "K" edge, so it suffices to infect
     every vertex under "P", which goes by induction on the coordinate sum.  A
     vertex v outside the set has at least r large coordinates, v_k >= t_k;
@@ -245,8 +253,13 @@ def extremal_set(spec: GridSpec) -> list[Vertex]:
     coordinate sum: it is in the set or, by induction, already infected.
     Then v is the edge's only uninfected vertex, and the edge infects it.
     """
-    limit = spec.r - 1
-    return [v for v in vertices(spec) if spec.large_count(v) <= limit]
+    small_large = [(range(1, t), range(t, n + 1)) for n, t in zip(spec.dims, spec.thick)]
+    return sorted(
+        v
+        for size in range(spec.r)
+        for large in itertools.combinations(range(spec.d), size)
+        for v in itertools.product(*(pair[k in large] for k, pair in enumerate(small_large)))
+    )
 
 
 def extremal_size(spec: GridSpec) -> int:

@@ -4,9 +4,11 @@ tests need.
 Each reference is the straightforward form of a kernel the library
 optimizes or builds another way, kept here so tests can require the library
 to give exactly the same results; the per-"K"-edge dependency check is the
-reference for the certificate's "P" walk.  The helpers (coordinate projection,
-per-vertex edge coefficients, the hypergraph text writer, span membership
-and the extremal set's infection schedule) have no caller in the library.
+reference for the certificate's "P" walk, and the filter over every vertex is
+the reference for the extremal set built from its large-axis sets.  The
+helpers (coordinate projection, per-vertex edge coefficients, the hypergraph
+text writer, span membership and the extremal set's infection schedule) have
+no caller in the library.
 """
 
 from __future__ import annotations
@@ -207,6 +209,12 @@ def format_hypergraph(h) -> str:
     lines = [f"p {h.num_vertices} {len(h.edges)}"]
     lines.extend(" ".join(map(str, e)) for e in h.edges)
     return "\n".join(lines) + "\n"
+
+
+def reference_extremal_set(spec):
+    """The extremal set by its definition: every vertex, in row-major order,
+    with at most r - 1 coordinates at or above their axis thickness."""
+    return [v for v in vertices(spec) if sum(x >= t for x, t in zip(v, spec.thick)) <= spec.r - 1]
 
 
 def extremal_schedule_failure(spec):

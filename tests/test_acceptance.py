@@ -165,13 +165,13 @@ def check_criterion_5():
     spec = GridSpec.cube(3, 2, 2, 2)
     cert = certified_lower_bound(spec, "K")
     u = extremal_set(spec)
-    report = audit_percolating_set(cert, u)
+    report = audit_percolating_set(cert, u, "K")
     assert report.percolated
     assert report.seed_rank == 5 == report.u_size
     assert report.steps_in_span == (True,) * 4
     removals = 0
     for drop in u:
-        smaller = audit_percolating_set(cert, [v for v in u if v != drop])
+        smaller = audit_percolating_set(cert, [v for v in u if v != drop], "K")
         assert not smaller.percolated
         removals += 1
     assert removals == 5

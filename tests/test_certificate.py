@@ -113,7 +113,7 @@ def edge_vertices(spec, edge):
     return [decode_vertex(spec, i) for i in edge[3]]
 
 
-def reference_replay(cert, initial, family=None):
+def reference_replay(cert, initial, family):
     """Audit with the seed vectors inserted in id order, on a hypergraph built
     through canonical_edges from the enumerated edges' ids (which the grid
     tests check against the codec).  The closure and the elimination are the
@@ -123,7 +123,7 @@ def reference_replay(cert, initial, family=None):
     ctx = cert.context
     spec = ctx.spec
     nv = spec.num_vertices
-    edges = [e[3] for e in enumerate_edges(spec, family or cert.family)]
+    edges = [e[3] for e in enumerate_edges(spec, family)]
     ids = sorted({encode_vertex(spec, tuple(v)) for v in initial})
     result = reference_closure(Hypergraph(nv, canonical_edges(nv, edges)), ids)
     percolated = len(result.final) == spec.num_vertices
@@ -135,7 +135,7 @@ def reference_replay(cert, initial, family=None):
     return percolated, len(ids), seed_rank, steps
 
 
-def reference_audit(cert, initial, family=None):
+def reference_audit(cert, initial, family):
     """The report of reference_replay, built from its bool per step."""
     percolated, size, seed_rank, steps = reference_replay(cert, initial, family)
     out_of_span = tuple(i for i, in_span in enumerate(steps) if not in_span)
@@ -351,7 +351,9 @@ class TestCertifiedLowerBound:
     def test_interval_family_request(self):
         cert = certified_lower_bound(SPEC_3222, "P")
         assert cert.lower_bound == 5
-        assert cert.family == "P"
+        # The family names only the walked edges; the certificate is the spec's.
+        assert [f.name for f in dataclasses.fields(cert)] == ["context", "f_vectors", "_hypergraphs"]
+        assert certificate_to_dict(cert, "P")["family"] == "P"
 
     @pytest.mark.parametrize(
         "spec",
@@ -484,6 +486,8 @@ class TestCertifiedLowerBound:
                 certified_lower_bound(SPEC_3222, "Q")
             with pytest.raises(ValueError, match="unknown edge family 'Q'"):
                 audit_percolating_set(cert, extremal_set(SPEC_3222), family="Q")
+            with pytest.raises(ValueError, match="unknown edge family 'Q'"):
+                certificate_to_dict(cert, "Q")
         assert (contexted.call_count, computed.call_count, built.call_count) == (0, 0, 0)
         assert cert._hypergraphs == {}
 
@@ -524,8 +528,8 @@ class TestCertifiedLowerBound:
         with spy as counted:
             cert = certified_lower_bound(SPEC_INHOM, "K")
             table = cert.f_vectors
-            data = certificate_to_dict(cert, include_f_vectors=True)
-            report = audit_percolating_set(cert, extremal_set(SPEC_INHOM))
+            data = certificate_to_dict(cert, "K", include_f_vectors=True)
+            report = audit_percolating_set(cert, extremal_set(SPEC_INHOM), "K")
         assert counted.call_count == SPEC_INHOM.num_vertices
         assert report.ok
         rows = [tuple(certificate_vector(v, cert.context)) for v in vertices(SPEC_INHOM)]
@@ -565,7 +569,7 @@ class TestCertifiedLowerBound:
 class TestAudit:
     def test_extremal_set_passes(self):
         cert = certified_lower_bound(SPEC_3222, "K")
-        report = audit_percolating_set(cert, extremal_set(SPEC_3222))
+        report = audit_percolating_set(cert, extremal_set(SPEC_3222), "K")
         assert report.percolated
         assert report.seed_rank == 5
         assert report.all_steps_in_span
@@ -579,7 +583,7 @@ class TestAudit:
 
     def test_full_vertex_set(self):
         cert = certified_lower_bound(SPEC_3222, "K")
-        report = audit_percolating_set(cert, list(vertices(SPEC_3222)))
+        report = audit_percolating_set(cert, list(vertices(SPEC_3222)), "K")
         assert report.percolated
         assert report.seed_rank == 5
         assert report.steps_in_span == ()
@@ -589,7 +593,7 @@ class TestAudit:
         cert = certified_lower_bound(SPEC_3222, "K")
         u = extremal_set(SPEC_3222)
         for drop in u:
-            report = audit_percolating_set(cert, [v for v in u if v != drop])
+            report = audit_percolating_set(cert, [v for v in u if v != drop], "K")
             assert not report.percolated
             assert not report.ok
 
@@ -603,7 +607,7 @@ class TestAudit:
         # a different minimal percolating set (a vertex plus its neighbours):
         # its vectors must still have full rank
         other = [(2, 2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
-        report = audit_percolating_set(cert, other)
+        report = audit_percolating_set(cert, other, "K")
         assert report.percolated
         assert report.seed_rank == cert.lower_bound == 4
         assert report.ok
@@ -697,7 +701,7 @@ class TestAudit:
         for seeds in (list(vertices(spec)), extremal_set(spec) + [max(vertices(spec))]):
             below_full.clear()
             with mock.patch.object(EliminationBasis, "_reduce", counting):
-                report = audit_percolating_set(cert, seeds)
+                report = audit_percolating_set(cert, seeds, "K")
             assert report.ok
             assert sum(below_full) == cert.lower_bound
             assert len(below_full) == cert.lower_bound
@@ -730,7 +734,7 @@ class TestAudit:
         for seeds in (u, outside[::2] + u[::-1] + outside[1::2]):
             eliminating.clear()
             with mock.patch.object(EliminationBasis, "_reduce", counting):
-                report = audit_percolating_set(cert, seeds)
+                report = audit_percolating_set(cert, seeds, family)
             assert report.ok
             assert len(eliminating) == cert.lower_bound
             assert sum(eliminating) == 0
@@ -739,7 +743,7 @@ class TestAudit:
 class TestSerialization:
     def test_schema(self):
         cert = certified_lower_bound(SPEC_3222, "K")
-        data = certificate_to_dict(cert)
+        data = certificate_to_dict(cert, "K")
         assert data["spec"] == {"dims": [3, 3], "thick": [2, 2], "r": 2}
         assert data["family"] == "K"
         assert data["axisMatrices"] == [[[1], [1], [1]], [[1], [1], [1]]]
@@ -752,12 +756,12 @@ class TestSerialization:
 
     def test_f_vector_strings(self):
         cert = certified_lower_bound(SPEC_3222, "K")
-        data = certificate_to_dict(cert, include_f_vectors=True)
+        data = certificate_to_dict(cert, "K", include_f_vectors=True)
         assert len(data["fVectors"]) == 9
         origin = data["fVectors"][encode_vertex(SPEC_3222, (1, 1))]
         assert origin == ["2", "0", "0", "0", "0"]
 
     def test_byte_reproducible(self):
-        first = json.dumps(certificate_to_dict(certified_lower_bound(SPEC_INHOM, "K"), True))
-        second = json.dumps(certificate_to_dict(certified_lower_bound(SPEC_INHOM, "K"), True))
+        first = json.dumps(certificate_to_dict(certified_lower_bound(SPEC_INHOM, "K"), "K", True))
+        second = json.dumps(certificate_to_dict(certified_lower_bound(SPEC_INHOM, "K"), "K", True))
         assert first == second

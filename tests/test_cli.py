@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import gridperc
-from gridperc import certificate, cli, percolation
+from gridperc import certificate, cli, grid, percolation
 from gridperc.cli import main
-from gridperc.grid import count_edges
+from gridperc.grid import FAMILIES, GridSpec, count_edges, extremal_size
 from gridperc.percolation import weak_saturation_hypergraph
 from oracles import format_hypergraph
 
@@ -65,6 +65,22 @@ class TestExtremal:
         assert code == 0
         assert data["uSize"] == 5
         assert data["vertices"] == [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1]]
+
+    @pytest.mark.parametrize("r,size", [(1, 1), (3, 1801)])
+    def test_thirty_axes_never_walk_the_grid(self, capsys, monkeypatch, r, size):
+        # 3^30 vertices: the extremal set is built from its large-axis sets,
+        # so a walk over every vertex fails the test instead of hanging it.
+        def forbidden(spec):
+            raise AssertionError("grid.vertices called")
+
+        monkeypatch.setattr(grid, "vertices", forbidden)
+        code, data = run_json(capsys, ["extremal", "--n", "3", "--t", "2", "--r", str(r), "--d", "30"])
+        assert code == 0
+        u = data["vertices"]
+        assert data["uSize"] == len(u) == extremal_size(GridSpec.cube(3, 30, 2, r)) == size
+        assert u[0] == [1] * 30
+        assert u == sorted(u) and all(a != b for a, b in zip(u, u[1:]))
+        assert all(sum(x >= 2 for x in v) <= r - 1 for v in u)
 
 
 class TestEdges:
@@ -186,6 +202,23 @@ class TestCertify:
         )
         assert code == 0
         assert len(data["fVectors"]) == 9
+
+    @pytest.mark.parametrize("vectors", [[], ["--include-f-vectors"]], ids=["bound", "vectors"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["--d 2 --r 2 --n 3 --t 2", "--n 3,4 --t 2,3 --r 2", "--d 3 --r 1 --n 3 --t 2",
+         "--d 3 --r 2 --n 4 --t 3", "--n 3,4,3 --t 2,3,3 --r 3"],
+    )
+    def test_families_print_one_certificate(self, capsys, spec, vectors):
+        # The certificate is the spec's: --family names only the edges the
+        # check walks and the "family" line it prints.
+        out = {}
+        for family in FAMILIES:
+            assert main(["certify", *spec.split(), "--family", family, *vectors]) == 0
+            out[family] = capsys.readouterr().out.splitlines()
+        assert len(out["K"]) == len(out["P"])
+        differ = [(k, p) for k, p in zip(out["K"], out["P"]) if k != p]
+        assert differ == [('  "family": "K",', '  "family": "P",')]
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "cert.json"

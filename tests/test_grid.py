@@ -270,6 +270,11 @@ class TestExtremal:
     def test_size_matches_set(self, spec):
         assert len(extremal_set(spec)) == extremal_size(spec)
 
+    @given(grid_specs(max_d=5))
+    def test_property_set_equals_the_vertex_filter(self, spec):
+        # Same vertices, same row-major order, no repeats.
+        assert extremal_set(spec) == oracles.reference_extremal_set(spec)
+
     @given(grid_specs())
     def test_property_schedule_infects_every_vertex_outside_u(self, spec):
         assert extremal_schedule_failure(spec) is None
