@@ -36,7 +36,6 @@ from .exact import (
     build_general_position_matrix,
     dependency_coeffs,
     det,
-    matrix_rank,
     verify_general_position,
 )
 from .grid import (
@@ -57,7 +56,6 @@ from .percolation import (
     closure,
     grid_hypergraph,
     parse_hypergraph,
-    percolates,
     read_hypergraph,
     weak_saturation_hypergraph,
 )
@@ -111,11 +109,9 @@ __all__ = [
     "grid_graph",
     "grid_hypergraph",
     "hypercube_graph",
-    "matrix_rank",
     "min_percolating_exact",
     "min_r_neighbour_percolating",
     "parse_hypergraph",
-    "percolates",
     "projection_component",
     "r_neighbour_closure",
     "read_hypergraph",

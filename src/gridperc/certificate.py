@@ -6,8 +6,9 @@ down to small values and weighting each image by entries of fixed per-axis
 general-position matrices.  Each vector is computed once, into the table that
 is checked, output and replayed by audits.  Verified properties:
 
-* span: the vectors have full rank (the extremal-set size), because the
-  extremal vertices' own vectors form a triangular block (certified_lower_bound),
+* span: the vectors have full rank (the extremal-set size), because each
+  extremal vertex's own vector is positive at its basis position and zero
+  after it, in row-major order (certified_lower_bound),
 * general position: every (t_k - 1)-row minor of each axis matrix is
   nonzero (build_context),
 * dependency: for every edge of the family the caller names, the vectors of
@@ -167,12 +168,14 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
 
     Every vertex's certificate_vector is computed once, into the table that
     both checks read and the certificate keeps.
-    Span: each extremal vertex u has a positive entry at u and its other
-    nonzero entries at extremal vertices of smaller coordinate sum, since
-    every image of u lies at or below u (small coordinates stay, large ones
-    drop to at most t_k - 1) and is u itself for the C(#small(u), d-r+1) >= 1
-    axis sets inside small(u), all weights being nonnegative.  The |U| x |U|
-    block is thus triangular with a positive diagonal, of rank |U|.
+    Span: the row of each extremal vertex u, at index ``own`` of the
+    row-major U, must be positive at ``own`` and zero after it.  It is,
+    because every image of u lies coordinatewise at or below u (small
+    coordinates stay, since the first t_k - 1 rows of M_k are the identity,
+    and large ones drop below t_k), hence at or before u in row-major order,
+    and is u itself with weight 1 for the C(#small(u), d-r+1) >= 1 axis sets
+    inside small(u), all weights being nonnegative.  The |U| x |U| block is
+    thus lower triangular with a positive diagonal, of rank |U|.
     Dependency: for every edge, the vectors of its vertices, weighted by their
     edge coefficients (products of per-axis dependency_coeffs, computed once
     for each of the family's value sets), must sum to zero.  An edge's ids are
@@ -199,10 +202,9 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
         for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick)
     ]
     rows = [tuple(certificate_vector(v, ctx)) for v in vertices(spec)]  # in vertex-id order
-    sums = [sum(u) for u in ctx.u_vertices]
-    for own, (u, s) in enumerate(zip(ctx.u_vertices, sums)):
+    for own, u in enumerate(ctx.u_vertices):
         vec = rows[encode_vertex(spec, u)]
-        if vec[own] <= 0 or any(x and sums[i] >= s and i != own for i, x in enumerate(vec)):
+        if vec[own] <= 0 or any(vec[own + 1 :]):
             raise CertificateError(f"span deficit: the vector of {u} is not triangular")
 
     for varying, values, fixed, ids in enumerate_edges(spec, family):
@@ -262,11 +264,9 @@ def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditRepor
 
     Every vector enters the basis with its entries reversed, and the seeds
     enter extremal vertices first, then the others, ids descending within
-    each group.  An extremal vertex u's row is nonzero only at the positions
-    of extremal vertices coordinatewise at or below u (small coordinates
-    stay, since the first t_k - 1 rows of M_k are the identity, and large
-    ones drop below t_k), which come at or before u in row-major order.
-    Reversed, its first nonzero entry is its own positive diagonal, and it is
+    each group.  certified_lower_bound checks that an extremal vertex u's
+    row is positive at u's own position and zero after it in row-major
+    order.  Reversed, its first nonzero entry is its own diagonal, and it is
     zero at every earlier pivot, which belongs to a larger id: a verified
     certificate's extremal seeds meet only zero multipliers and enter without
     elimination, and a superset of the extremal set is at full rank after

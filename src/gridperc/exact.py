@@ -70,17 +70,12 @@ class EliminationBasis:
         return len(self._rows)
 
     def _reduce(self, vector) -> list[int]:
-        """Remainder of ``vector`` against the stored rows.
-
-        At full rank every remainder is zero and comes back as the empty list.
-        """
+        """Remainder of ``vector`` against the stored rows."""
         v = list(vector)
         if not all(isinstance(x, int) for x in v):
             raise TypeError(f"entries must be int, got {vector!r}")
         if len(v) != self.ncols:
             raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
-        if self.rank == self.ncols:
-            return []
         held = prev = 1
         for col, row in zip(self._pivot_cols, self._rows):
             pivot, c = row[col], v[col]

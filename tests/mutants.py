@@ -151,6 +151,27 @@ MUTANTS = [
         [
             "tests/test_certificate.py::TestAudit::test_one_build_per_certificate_and_family",
             "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[P-spec3]",
+            "tests/test_certificate.py::TestAudit::test_k_only_percolating_sets",
+        ],
+    ),
+    (
+        "span check skips the position after a row's own",
+        CERT,
+        "any(vec[own + 1 :])",
+        "any(vec[own + 2 :])",
+        [
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_non_triangular_row_is_rejected[next_position]",
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_span_check_follows_row_major_order[after_own_smaller_sum-K]",
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_span_check_follows_row_major_order[after_own_smaller_sum-P]",
+        ],
+    ),
+    (
+        "span check accepts a zero diagonal",
+        CERT,
+        "if vec[own] <= 0 or",
+        "if vec[own] < 0 or",
+        [
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_non_triangular_row_is_rejected[zero_diagonal]",
         ],
     ),
     (

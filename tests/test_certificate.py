@@ -73,16 +73,13 @@ def span_free_damages(draw):
 
     Every entry is one the span check leaves free: any entry of a vertex
     outside the extremal set, or an entry of an extremal vertex at a basis
-    position of smaller coordinate sum.  So certified_lower_bound can reject
-    a damaged table only by a dependency sum.
+    position before its own in row-major order.  So certified_lower_bound
+    can reject a damaged table only by a dependency sum.
     """
     spec = draw(small_specs())
-    u = extremal_set(spec)
-    sums = [sum(w) for w in u]
-    own = {encode_vertex(spec, w): sums[i] for i, w in enumerate(u)}
-    free = {
-        a: [i for i, s in enumerate(sums) if s < own.get(a, math.inf)] for a in range(spec.num_vertices)
-    }
+    size = extremal_size(spec)
+    own = {encode_vertex(spec, w): i for i, w in enumerate(extremal_set(spec))}
+    free = {a: range(own.get(a, size)) for a in range(spec.num_vertices)}
     free = {a: positions for a, positions in free.items() if positions}
     entries = st.sampled_from(sorted(free)).flatmap(
         lambda a: st.tuples(st.just(a), st.sampled_from(free[a]), st.integers().filter(bool))
@@ -378,12 +375,10 @@ class TestCertifiedLowerBound:
         cert = certified_lower_bound(spec, "K")
         assert matrix_rank(cert.f_vectors) == cert.context.u_size == cert.lower_bound
 
-    @pytest.mark.parametrize(
-        "row,column",
-        [((1, 1), (1, 2)), ((1, 2), (2, 1)), ((1, 1), None)],
-        ids=["larger_sum", "equal_sum", "zero_diagonal"],
-    )
-    def test_non_triangular_row_is_rejected(self, monkeypatch, row, column):
+    @staticmethod
+    def damage_one_entry(monkeypatch, row, column):
+        """Add 1 to the entry of ``row``'s vector at ``column``, or zero its
+        own entry when ``column`` is None."""
         original = certificate.certificate_vector
 
         def damaged(v, ctx):
@@ -396,8 +391,31 @@ class TestCertifiedLowerBound:
             return vec
 
         monkeypatch.setattr(certificate, "certificate_vector", damaged)
+
+    # U of SPEC_3222 in row-major order: (1,1), (1,2), (1,3), (2,1), (3,1).
+    @pytest.mark.parametrize(
+        "row,column",
+        [((1, 1), (1, 2)), ((1, 2), (2, 1)), ((1, 1), None)],
+        ids=["next_position", "later_position", "zero_diagonal"],
+    )
+    def test_non_triangular_row_is_rejected(self, monkeypatch, row, column):
+        self.damage_one_entry(monkeypatch, row, column)
         with pytest.raises(CertificateError, match="span deficit"):
             certified_lower_bound(SPEC_3222, "K")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "row,column,verdict",
+        [((1, 3), (2, 1), "span deficit"), ((2, 1), (1, 3), "nonzero dependency sum")],
+        ids=["after_own_smaller_sum", "before_own_larger_sum"],
+    )
+    def test_span_check_follows_row_major_order(self, monkeypatch, row, column, verdict, family):
+        # (2, 1) comes after (1, 3) in row-major order but has the smaller
+        # coordinate sum: the span check rejects an entry after a row's own
+        # position, and leaves one before it to the dependency sums.
+        self.damage_one_entry(monkeypatch, row, column)
+        with pytest.raises(CertificateError, match=verdict):
+            certified_lower_bound(SPEC_3222, family)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_nonzero_dependency_sum_is_rejected(self, monkeypatch, family):
@@ -611,6 +629,25 @@ class TestAudit:
         assert report.percolated
         assert report.seed_rank == cert.lower_bound == 4
         assert report.ok
+
+    def test_k_only_percolating_sets(self):
+        # Each set has the extremal set's size and percolates under K but not
+        # under P, so an audit that closes on the wrong family shows.
+        cases = [
+            (GridSpec.cube(3, 2, 2, 2), (0, 1, 5, 6, 8)),
+            (GridSpec.cube(4, 2, 2, 2), (0, 1, 2, 4, 11, 12, 15)),
+            (GridSpec.cube(3, 3, 2, 2), (0, 1, 2, 3, 15, 18, 24)),
+            (GridSpec.cube(4, 2, 3, 1), (0, 1, 4, 7)),
+        ]
+        for spec, ids in cases:
+            cert = certified_lower_bound(spec, "P")
+            seeds = [decode_vertex(spec, i) for i in ids]
+            assert len(seeds) == cert.lower_bound
+            k, p = (audit_percolating_set(cert, seeds, family) for family in ("K", "P"))
+            assert k.percolated and k.ok, spec
+            assert not p.percolated, spec
+            assert k == reference_audit(cert, seeds, "K")
+            assert p == reference_audit(cert, seeds, "P")
 
     @settings(max_examples=60)
     @given(audit_cases())

@@ -1,14 +1,12 @@
 """The package's public names: every entry of ``__all__`` must resolve, once,
-and must have a caller outside the tests."""
+and must have a caller in the library outside the tests."""
 
 import ast
-import importlib
 from pathlib import Path
 
 import gridperc
 
 PACKAGE = Path(gridperc.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_all_names_resolve_without_duplicates():
@@ -18,10 +16,9 @@ def test_all_names_resolve_without_duplicates():
         assert hasattr(gridperc, name), name
 
 
-def test_every_exported_name_has_a_library_or_tracer_caller(monkeypatch):
+def test_every_exported_name_has_a_library_caller():
     # A use is a name or attribute read in a library module; definitions and
-    # imports do not count.  The benchmark's tracer rebinds the names of its
-    # TRACED list, which keeps them exported until the tracer goes.
+    # imports do not count.
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
@@ -31,7 +28,5 @@ def test_every_exported_name_has_a_library_or_tracer_caller(monkeypatch):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    monkeypatch.syspath_prepend(str(BENCH))
-    used |= {attr for _module, attr, _hot, _observer in importlib.import_module("tracer").TRACED}
     unused = [name for name in gridperc.__all__ if name not in used]
     assert not unused, f"exported but called only by tests: {unused}"
