@@ -32,7 +32,6 @@ from .certificate import (
 )
 from .exact import (
     EliminationBasis,
-    GeneralPositionError,
     build_general_position_matrix,
     dependency_coeffs,
     det,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "EliminationBasis",
     "FAMILIES",
-    "GeneralPositionError",
     "Graph",
     "GridSpec",
     "Hypergraph",

@@ -294,8 +294,10 @@ def _cmd_sweep(args):
     for f in families:
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r} in --families")
-    if args.brute_tests < 0:
-        raise ValueError(f"--brute-tests must be >= 0, got {args.brute_tests}")
+    for option, value, least in (("--max-n", args.max_n, 2), ("--max-d", args.max_d, 1),
+                                 ("--max-cells", args.max_cells, 2), ("--brute-tests", args.brute_tests, 0)):
+        if value < least:  # the smallest spec, d=1 and n=2, has 2 cells: no sweep is empty
+            raise ValueError(f"{option} must be >= {least}, got {value}")
     rows = []
     for spec in _sweep_specs(args):
         cert = certified_lower_bound(spec, "P")  # bounds both families by the interval lemma

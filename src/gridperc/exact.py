@@ -1,7 +1,9 @@
 """Exact integer linear algebra for the lower-bound certificates.
 
-Matrices are sequences of equal-length rows of int entries; any other entry
-type raises TypeError, and nothing is ever rounded.  Every elimination runs
+Matrices are sequences of equal-length rows of integer entries: each entry
+goes through operator.index, so ints, bools and other types with __index__
+are taken as ints, while floats, Fractions, Decimals and strings raise
+TypeError, and nothing is ever rounded.  Every elimination runs
 through one fraction-free integer kernel, EliminationBasis: an incremental
 Bareiss echelon in which every intermediate value is a minor of the input
 rows, so all divisions are exact integer divisions and growth is bounded by
@@ -17,10 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-
-
-class GeneralPositionError(ValueError):
-    """A matrix expected to be in general position produced a zero minor."""
 
 
 def _as_rows(matrix) -> list[list]:
@@ -45,7 +43,8 @@ class EliminationBasis:
     zero.  insert(), the one public operation, keeps a nonzero remainder as a
     new row pivoted at its first nonzero entry and reports whether the span
     grew; inserting a vector already in the span returns False and leaves the
-    state unchanged.
+    state unchanged.  Each entry goes through operator.index, so an entry
+    without __index__ (a float, Fraction, Decimal or string) raises TypeError.
 
     When v[c_k] == 0 the step only multiplies v by p_k / p_{k-1}.  _reduce
     skips such steps: it keeps the pivot ``held`` of the last step it carried
@@ -71,9 +70,7 @@ class EliminationBasis:
 
     def _reduce(self, vector) -> list[int]:
         """Remainder of ``vector`` against the stored rows."""
-        v = list(vector)
-        if not all(isinstance(x, int) for x in v):
-            raise TypeError(f"entries must be int, got {vector!r}")
+        v = list(map(operator.index, vector))
         if len(v) != self.ncols:
             raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
         held = prev = 1
@@ -184,7 +181,7 @@ def dependency_coeffs(matrix, row_indices) -> tuple:
         minor = sub[:j] + sub[j + 1 :]
         c = sign * det(minor)
         if c == 0:
-            raise GeneralPositionError(f"zero dependency coefficient for rows {idx}")
+            raise ValueError(f"zero dependency coefficient for rows {idx}")
         coeffs.append(c)
         sign = -sign
     return tuple(coeffs)

@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CERT = "src/gridperc/certificate.py"
 CLI = "src/gridperc/cli.py"
+EXACT = "src/gridperc/exact.py"
 GRID = "src/gridperc/grid.py"
 PERC = "src/gridperc/percolation.py"
 SEARCH = "src/gridperc/search.py"
@@ -172,6 +173,16 @@ MUTANTS = [
         "if vec[own] < 0 or",
         [
             "tests/test_certificate.py::TestCertifiedLowerBound::test_non_triangular_row_is_rejected[zero_diagonal]",
+        ],
+    ),
+    (
+        "kernel takes entries without operator.index",
+        EXACT,
+        "v = list(map(operator.index, vector))",
+        "v = list(vector)",
+        [
+            "tests/test_exact.py::TestEliminationBasis::test_non_rational_entries_rejected",
+            "tests/test_exact.py::TestEliminationBasis::test_full_rank_basis_still_checks_input",
         ],
     ),
     (

@@ -496,6 +496,24 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "error: --brute-tests must be >= 0, got -5\n"
 
+    @pytest.mark.parametrize(
+        "option,value,least",
+        [("--max-d", "0", 1), ("--max-d", "-3", 1), ("--max-n", "1", 2), ("--max-cells", "0", 2), ("--max-cells", "1", 2)],
+    )
+    def test_empty_sweep_rejected(self, capsys, option, value, least):
+        # Below these bounds no spec fits, so the sweep would print only its header.
+        argv = ["sweep", "--max-n", "2", "--max-d", "1", "--max-cells", "2", option, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be >= {least}, got {value}\n"
+
+    def test_smallest_sweep_bounds_give_one_spec(self, capsys):
+        assert main(["sweep", "--max-n", "2", "--max-d", "1", "--max-cells", "2", "--families", "P"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("1,1,2,2,P,")
+
 
 class TestCertificateWalk:
     # The commands that read a certificate only for its bound, U and vectors

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridperc.exact import (
     EliminationBasis,
-    GeneralPositionError,
     build_general_position_matrix,
     dependency_coeffs,
     det,
@@ -196,6 +196,24 @@ class TestVerifyGeneralPosition:
         with pytest.raises(ValueError):
             verify_general_position([[1, 0], [0, 1]], 4)
 
+    @given(st.integers(2, 4), st.data())
+    def test_property_matches_every_minor(self, t, data):
+        # Random rows mixed with zero and repeated rows; fewer than t - 1
+        # rows are never in general position.
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+            if kind == "repeat" and rows:
+                rows.append(list(data.draw(st.sampled_from(rows))))
+            elif kind == "zero":
+                rows.append([0] * (t - 1))
+            else:
+                rows.append(data.draw(st.lists(st.integers(-3, 3), min_size=t - 1, max_size=t - 1)))
+        expected = len(rows) >= t - 1 and all(
+            naive_det(list(subset)) != 0 for subset in itertools.combinations(rows, t - 1)
+        )
+        assert verify_general_position(rows, t) is expected
+
 
 class TestDependencyCoeffs:
     def test_two_point_case(self):
@@ -253,7 +271,7 @@ class TestDependencyCoeffs:
         # rows 1, 2, 4 of this matrix are dependent with a zero coefficient on
         # row 1, so the matrix is not in general position
         m = [[1, 0], [0, 1], [1, 1], [0, 2]]
-        with pytest.raises(GeneralPositionError):
+        with pytest.raises(ValueError, match="zero dependency coefficient"):
             dependency_coeffs(m, (1, 2, 4))
 
 
@@ -305,7 +323,7 @@ class TestEliminationBasis:
             EliminationBasis(-1)
 
     def test_non_rational_entries_rejected(self):
-        for bad in (0.5, Fraction(1, 2), Fraction(4, 2)):
+        for bad in (0.5, Fraction(1, 2), Fraction(4, 2), Decimal("0.5"), Decimal(2)):
             with pytest.raises(TypeError):
                 EliminationBasis(2).insert([bad, 1])
             with pytest.raises(TypeError):
@@ -368,6 +386,47 @@ class TestEliminationBasis:
         assert basis.rank == ref.rank
         for probe in probes:
             assert in_span(basis, probe[::-1]) == in_span(ref, probe)
+
+
+class Index:
+    """An integer-like entry that is not an int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestIntegerEntries:
+    """Entries go through operator.index, so integer-like entries act as
+    their ints and are stored as ints."""
+
+    @staticmethod
+    def assert_same_as_ints(rows, like):
+        n = len(rows[0])
+        assert matrix_rank(like) == matrix_rank(rows)
+        if len(rows) == n:
+            assert det(like) == det(rows)
+        plain, basis = EliminationBasis(n), EliminationBasis(n)
+        for row, row_like in zip(rows, like):
+            assert in_span(basis, row_like) == in_span(plain, row)
+            assert basis.insert(row_like) is plain.insert(row)
+        assert basis._rows == plain._rows
+        assert basis._pivot_cols == plain._pivot_cols
+        assert all(type(x) is int for row in basis._rows for x in row)
+        for row, row_like in zip(rows, like):
+            assert basis._reduce(row_like) == plain._reduce(row)
+
+    @given(st.one_of(matrices(), zero_heavy_matrices()))
+    def test_property_index_entries_act_as_ints(self, rows):
+        self.assert_same_as_ints(rows, [[Index(x) for x in row] for row in rows])
+
+    @given(st.integers(1, 5), st.data())
+    def test_property_bool_entries_act_as_ints(self, n, data):
+        bool_row = st.lists(st.booleans(), min_size=n, max_size=n)
+        like = data.draw(st.lists(bool_row, min_size=1, max_size=6))
+        self.assert_same_as_ints([[int(x) for x in row] for row in like], like)
 
 
 class TestDeferredRescale:
