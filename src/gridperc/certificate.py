@@ -95,17 +95,19 @@ def build_context(spec: GridSpec) -> CertificateContext:
 def projection_component(v: Vertex, proj_axes, ctx: CertificateContext) -> list[int]:
     """Contribution of one projected-axis set to the vertex's vector.
 
-    ``proj_axes`` must have size d - r + 1.  For every choice of small values
-    (j_1..j_p), the image of v with those axes set to those values receives
-    coefficient prod_a M[axis_a][v_axis_a][j_a].  All images have at least
+    ``proj_axes`` must be d - r + 1 distinct axes in [1, d], or ValueError is
+    raised.  For every choice of small values (j_1..j_p), the image of v with
+    those axes set to those values receives coefficient
+    prod_a M[axis_a][v_axis_a][j_a].  All images have at least
     d - r + 1 small coordinates, hence at most r - 1 large ones, so the
     support always lies inside the extremal basis.
     """
     spec = ctx.spec
     proj_axes = tuple(proj_axes)
     p = spec.d - spec.r + 1
-    if len(proj_axes) != p:
-        raise ValueError(f"expected {p} projected axes, got {len(proj_axes)}")
+    axes = set(proj_axes)
+    if len(proj_axes) != p or len(axes) != p or not axes <= set(range(1, spec.d + 1)):
+        raise ValueError(f"expected {p} distinct projected axes in [1, {spec.d}], got {proj_axes}")
     vec = [0] * ctx.u_size
     rows = [ctx.axis_matrices[k - 1][v[k - 1] - 1] for k in proj_axes]
     small_ranges = [range(1, spec.thick[k - 1]) for k in proj_axes]

@@ -61,16 +61,16 @@ the edges inside S against |V| - |E|, is as sound; it prunes nothing where
 |V| <= |E|, as on most K grids, but on P with r = d that target is the
 minimum itself.
 
-``closure`` and ``r_neighbour_closure`` remain the slower oracles; each
-search calls one of them once, for the closure of the forced vertices.  The
-greedy bound needs neither: for r >= 1 the empty set is closed.
+Every search starts one way: fold ``spread`` over the vertices that must be
+infected, from the closed empty state.  No search calls ``closure`` or
+``r_neighbour_closure``; they are the tests' oracles, and the CLI checks
+``rneighbour``'s witness with ``r_neighbour_closure``.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 import random
@@ -78,7 +78,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .grid import GridSpec, enumerate_edges
-from .percolation import Hypergraph, closure
+from .percolation import Hypergraph
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -308,11 +308,12 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images
     The search skips candidates that an image maps to an earlier one; the
     results are those of the plain scan for any set of images.
     """
-    covered = set(itertools.chain.from_iterable(h.edges))
-    mandatory = [v for v in range(h.num_vertices) if v not in covered]
+    mandatory = [v for v in range(h.num_vertices) if not h.incident[v]]
     images = _image_bits(images, h.num_vertices, h.edges)
-    start = _mask(closure(h, mandatory).final)
-    return _min_subset_search(h.num_vertices, _edge_spread(h), start, mandatory, budget, images, None)
+    spread = _edge_spread(h)
+    # From the empty state only size-1 edges can fire; the forced vertices lie in no edge.
+    start = functools.reduce(spread, (e[0] for e in h.edges if len(e) == 1), _mask(mandatory))
+    return _min_subset_search(h.num_vertices, spread, start, mandatory, budget, images, None)
 
 
 class Graph:
@@ -449,8 +450,8 @@ def min_r_neighbour_percolating(
         raise ValueError(f"r must be >= 1, got {r}")
     mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
     images = _image_bits(images, g.num_vertices, ((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w))
-    start = _mask(r_neighbour_closure(g, mandatory, r))
     spread = _neighbour_spread(g, r)
+    start = functools.reduce(spread, mandatory, 0)  # for r >= 1 the empty state is closed
     return _min_subset_search(g.num_vertices, spread, start, mandatory, budget, images, _potential_test(g, r))
 
 
@@ -469,9 +470,8 @@ def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int 
         raise ValueError(f"r must be >= 1, got {r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # For r >= 1 no vertex has r infected neighbours in the empty set, so the
-    # empty state 0 is closed, and a candidate percolates iff folding spread
-    # over it from 0 reaches every vertex.
+    # For r >= 1 the empty state 0 is closed, so a candidate percolates iff
+    # folding spread over it from 0 reaches every vertex.
     spread = _neighbour_spread(g, r)
     n = g.num_vertices
     full = (1 << n) - 1

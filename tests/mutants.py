@@ -195,6 +195,34 @@ MUTANTS = [
             "tests/test_cli.py::TestExtremal::test_vertices",
         ],
     ),
+    (
+        "hypergraph start skips the size-1 edges",
+        SEARCH,
+        "(e[0] for e in h.edges if len(e) == 1), _mask(mandatory)",
+        "(), _mask(mandatory)",
+        [
+            "tests/test_search.py::TestAgainstPlainScan::test_start_calls_no_closure_oracle[hypergraph]",
+        ],
+    ),
+    (
+        "r-neighbour start leaves out the forced vertices",
+        SEARCH,
+        "start = functools.reduce(spread, mandatory, 0)",
+        "start = 0",
+        [
+            "tests/test_search.py::TestMinRNeighbour::test_low_degree_vertices_are_mandatory",
+            "tests/test_search.py::TestAgainstPlainScan::test_start_calls_no_closure_oracle[graph]",
+        ],
+    ),
+    (
+        "projected axes not checked to be distinct",
+        CERT,
+        "len(proj_axes) != p or len(axes) != p or",
+        "len(proj_axes) != p or",
+        [
+            "tests/test_certificate.py::TestProjectionComponent::test_bad_axes_rejected[repeated]",
+        ],
+    ),
 ]
 
 

@@ -213,6 +213,16 @@ class TestProjectionComponent:
         with pytest.raises(ValueError):
             projection_component((1, 1), (1, 2), ctx)
 
+    @pytest.mark.parametrize(
+        "axes",
+        [(0, 1), (1, 1), (-1, 2), (1, 4)],
+        ids=["axis-zero", "repeated", "negative", "past-d"],
+    )
+    def test_bad_axes_rejected(self, axes):
+        ctx = build_context(GridSpec.cube(4, 3, 3, 2))
+        with pytest.raises(ValueError, match="distinct projected axes"):
+            projection_component((4, 1, 3), axes, ctx)
+
 
 class TestCertificateVector:
     def test_interior_vertex(self):

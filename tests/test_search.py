@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridperc import cli, search
+from gridperc import cli, percolation, search
 from gridperc.grid import GridSpec, axis_images, extremal_size, family_images
 from gridperc.percolation import (
     Hypergraph,
@@ -543,6 +543,29 @@ class TestAgainstPlainScan:
             expected = full if budget >= full.tested else ("budget exceeded", budget, budget)
             assert outcome(search, budget) == expected
 
+    @pytest.mark.parametrize(
+        "structure,r,expected",
+        [
+            # 2 lies in no edge; the size-1 edge infects 0, which completes (0, 1).
+            (Hypergraph(3, [(0,), (0, 1)]), None, SearchResult(1, (2,), 1)),
+            # 0 and 1 have degree 1 < r; together they infect 2.
+            (Graph(3, [(0, 2), (1, 2)]), 2, SearchResult(2, (0, 1), 1)),
+        ],
+        ids=["hypergraph", "graph"],
+    )
+    def test_start_calls_no_closure_oracle(self, monkeypatch, structure, r, expected):
+        # The start state is spread folded over the forced vertices (and the
+        # size-1 edges' vertices), never a closure oracle's answer.
+        mandatory, perc = oracle(structure, r)
+        assert plain_scan(structure.num_vertices, perc, mandatory, DEFAULT_BUDGET) == expected
+        def oracle_called(*args):
+            raise AssertionError("a search called a closure oracle")
+
+        # search.closure too, should the name ever be imported again.
+        for module, name in ((percolation, "closure"), (search, "closure"), (search, "r_neighbour_closure")):
+            monkeypatch.setattr(module, name, oracle_called, raising=False)
+        assert exhaustive(structure, r) == expected
+
     @given(symmetric_instances(), st.data())
     def test_search_with_images(self, instance, data):
         structure, r, images = instance
@@ -630,7 +653,7 @@ class TestImages:
         ids=["wrong-length", "repeated-id", "id-out-of-range", "corner-midpoint"],
     )
     def test_non_automorphism_is_rejected(self, monkeypatch, image):
-        for name in ("_min_subset_search", "_first_at_size", "closure", "r_neighbour_closure"):
+        for name in ("_min_subset_search", "_first_at_size", "_edge_spread", "_neighbour_spread"):
             monkeypatch.setattr(search, name, fail_if_called)
         good = axis_images((3, 3))
         with pytest.raises(ValueError, match="image 1"):
