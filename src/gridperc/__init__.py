@@ -23,6 +23,7 @@ from .certificate import (
     Certificate,
     CertificateContext,
     CertificateError,
+    CertificateTooLarge,
     audit_percolating_set,
     build_context,
     certificate_to_dict,
@@ -78,6 +79,7 @@ __all__ = [
     "Certificate",
     "CertificateContext",
     "CertificateError",
+    "CertificateTooLarge",
     "ClosureResult",
     "DEFAULT_BUDGET",
     "EliminationBasis",

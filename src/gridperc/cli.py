@@ -4,7 +4,7 @@ Subcommands: formula, extremal, edges, closure, certify, audit, minperc,
 rneighbour, wsat, sweep.  Output is JSON; tabular commands also render CSV
 via --format csv.  Exit codes: 0 success / verified / percolated, 1 negative
 result (non-percolation, invalid certificate), 2 invalid input, 3 search
-budget exceeded.
+budget exceeded or certificate table over its size limit.
 
 Each ``_cmd_*`` handler only computes: it returns ``(payload, table,
 exit_code)``, where ``payload`` is the JSON-ready result and ``table`` holds
@@ -31,6 +31,7 @@ import time
 
 from .certificate import (
     CertificateError,
+    CertificateTooLarge,
     audit_percolating_set,
     certificate_to_dict,
     certified_lower_bound,
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, CertificateTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CertificateError as exc:

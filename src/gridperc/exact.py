@@ -47,13 +47,13 @@ class EliminationBasis:
     without __index__ (a float, Fraction, Decimal or string) raises TypeError.
 
     When v[c_k] == 0 the step only multiplies v by p_k / p_{k-1}.  _reduce
-    skips such steps: it keeps the pivot ``held`` of the last step it carried
-    out and the current ``prev``, so that the true intermediate vector is
-    v * prev // held, and folds that factor into the next step with a nonzero
-    multiplier, (p_k*v - v[c_k]*row_k) // held, or applies it at the end.
-    Each intermediate vector of the plain elimination is an integer vector, so
-    these divisions are exact too, and the stored rows and pivots are
-    identical to those of the step-by-step elimination.
+    skips such steps, reading only v[c_k]: with ``held`` the pivot of the
+    last step it carried out, the true vector after row k is v * p_k // held,
+    and it folds that factor into the next step with a nonzero multiplier,
+    (p_k*v - v[c_k]*row_k) // held, or applies it at the end with the last
+    stored pivot (1 for an empty basis).  Each intermediate vector of the
+    plain elimination is an integer vector, so these divisions are exact too,
+    and the stored rows and pivots are those of the step-by-step elimination.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -73,15 +73,16 @@ class EliminationBasis:
         v = list(map(operator.index, vector))
         if len(v) != self.ncols:
             raise ValueError(f"expected {self.ncols} entries, got {len(v)}")
-        held = prev = 1
+        held = 1
         for col, row in zip(self._pivot_cols, self._rows):
-            pivot, c = row[col], v[col]
+            c = v[col]
             if c:
+                pivot = row[col]
                 v = [(pivot * x - c * y) // held for x, y in zip(v, row)]
                 held = pivot
-            prev = pivot
-        if prev != held:
-            v = [x * prev // held for x in v]
+        last = self._rows[-1][self._pivot_cols[-1]] if self._rows else 1
+        if last != held:
+            v = [x * last // held for x in v]
         return v
 
     def insert(self, vector) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 from .grid import GridSpec, enumerate_edges
@@ -79,11 +78,13 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
     Counter-based: each edge keeps its number of uninfected vertices and is
     examined once per infected member, so the total work is linear in the sum
     of edge sizes.  The counts start at the edge sizes and lose one along the
-    incidences of each distinct initial vertex.  Witness edges are chosen by
-    the deterministic processing order (ascending edge index per newly
-    infected vertex).  Processing stops once every vertex is infected: no
-    edge can then fire, so the final set and the trace are those of the full
-    run, and the incidences of the vertices still queued are never read.
+    incidences of each distinct initial vertex.  The trace is the work list,
+    read by index.  The edges whose count reaches 1, in the initial scan or
+    at one vertex, fire after it in ascending edge index, each infecting its
+    first uninfected vertex if one is left; firing changes no count, so the
+    trace is that of firing at once.  Processing stops once every vertex is
+    infected: no edge can then fire, so the final set and the trace are those
+    of the full run, and no incidence of an unprocessed vertex is read.
     """
     infected = bytearray(h.num_vertices)
     init = []
@@ -99,29 +100,25 @@ def closure(h: Hypergraph, initial) -> ClosureResult:
     for v in init:
         for e_idx in h.incident[v]:
             remaining[e_idx] -= 1
+    ready = [e_idx for e_idx, count in enumerate(remaining) if count == 1]
     trace: list[tuple[int, int]] = []
-    queue: deque[int] = deque()
-
-    def try_fire(e_idx: int) -> None:
-        # remaining[e_idx] just reached 1; the edge fires unless its last
-        # uninfected vertex was already infected elsewhere (pending decrement).
-        for w in h.edges[e_idx]:
-            if not infected[w]:
-                infected[w] = 1
-                trace.append((w, e_idx))
-                queue.append(w)
-                return
-
-    for e_idx, count in enumerate(remaining):
-        if count == 1:
-            try_fire(e_idx)
     uninfected = h.num_vertices - len(init)
-    while queue and len(trace) < uninfected:
-        u = queue.popleft()
-        for e_idx in h.incident[u]:
+    done = 0
+    while True:
+        for e_idx in ready:
+            for w in h.edges[e_idx]:
+                if not infected[w]:
+                    infected[w] = 1
+                    trace.append((w, e_idx))
+                    break
+        if not done < len(trace) < uninfected:
+            break
+        ready = []
+        for e_idx in h.incident[trace[done][0]]:
             remaining[e_idx] -= 1
             if remaining[e_idx] == 1:
-                try_fire(e_idx)
+                ready.append(e_idx)
+        done += 1
 
     final = frozenset(i for i, flag in enumerate(infected) if flag)
     return ClosureResult(frozenset(init), final, tuple(trace))

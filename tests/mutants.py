@@ -40,11 +40,42 @@ MUTANTS = [
     (
         "closure stops one infection early",
         PERC,
-        "while queue and len(trace) < uninfected:",
-        "while queue and len(trace) < uninfected - 1:",
+        "if not done < len(trace) < uninfected:",
+        "if not done < len(trace) < uninfected - 1:",
         [
             "tests/test_percolation.py::TestClosure::test_extremal_set_fills_interval_grid",
             "tests/test_certificate.py::TestAudit::test_interval_family_audit",
+        ],
+    ),
+    (
+        "closure fires the ready edges in descending order",
+        PERC,
+        "        for e_idx in ready:\n",
+        "        for e_idx in reversed(ready):\n",
+        [
+            "tests/test_percolation.py::TestClosure::test_property_matches_scanning_reference",
+            "tests/test_percolation.py::TestClosure::test_no_incidence_is_read_after_the_last_infection[K-spec2]",
+        ],
+    ),
+    (
+        "kernel drops its final rescale",
+        EXACT,
+        "        if last != held:\n            v = [x * last // held for x in v]\n",
+        "",
+        [
+            "tests/test_exact.py::TestDeferredRescale::test_triangular_input_has_only_zero_multipliers",
+            "tests/test_exact.py::TestDeferredRescale::test_trailing_zero_multipliers_rescale_at_the_end",
+        ],
+    ),
+    (
+        "certificate table guard disabled",
+        CERT,
+        "if entries > MAX_TABLE_ENTRIES:",
+        "if False:",
+        [
+            "tests/test_cli.py::TestTableGuard::test_thirty_axes_exit_3_before_any_row[certify]",
+            "tests/test_cli.py::TestTableGuard::test_limit_is_the_largest_table_allowed[audit]",
+            "tests/test_cli.py::TestTableGuard::test_limit_is_the_largest_table_allowed[minperc]",
         ],
     ),
     (

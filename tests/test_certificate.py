@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from collections import defaultdict
 from contextlib import nullcontext
 from unittest import mock
@@ -479,10 +480,17 @@ class TestCertifiedLowerBound:
             certified_lower_bound(spec, family)
         assert walks == [[family, count_edges(spec, family)]]
 
-    @pytest.mark.parametrize("spec", [SPEC_3232, SPEC_INHOM, GridSpec((4, 5, 3), (3, 2, 3), 2)])
+    @pytest.mark.parametrize("spec", [
+        SPEC_3232,
+        SPEC_INHOM,
+        GridSpec((4, 5, 3), (3, 2, 3), 2),
+        GridSpec.cube(6, 3, 3, 2),
+        GridSpec((5, 6, 7), (2, 3, 4), 2),
+    ])
     def test_coefficients_only_for_the_walked_family(self, spec):
-        # The context checks each axis matrix for general position once and
-        # computes no dependency coefficient; a certificate computes one per
+        # The context checks each distinct axis matrix for general position
+        # once, at its first axis, and computes no dependency coefficient
+        # (the axes of a cube share one matrix); a certificate computes one per
         # value set of the family it walks: every t_k-subset for K, every
         # interval for P.
         coeffs = mock.patch.object(certificate, "dependency_coeffs", wraps=certificate.dependency_coeffs)
@@ -501,8 +509,8 @@ class TestCertifiedLowerBound:
             "K": sum(math.comb(n, t) for n, t in axes),
             "P": sum(n - t + 1 for n, t in axes),
         }
-        one_per_axis = list(zip(ctx.axis_matrices, spec.thick))
-        assert [c.args for c in checked.call_args_list] == one_per_axis * (1 + len(FAMILIES))
+        one_per_shape = list(dict.fromkeys(zip(ctx.axis_matrices, spec.thick)))
+        assert [c.args for c in checked.call_args_list] == one_per_shape * (1 + len(FAMILIES))
 
     def test_unknown_family_is_rejected_before_any_work(self):
         cert = certified_lower_bound(SPEC_3222, "K")
@@ -563,6 +571,22 @@ class TestCertifiedLowerBound:
         rows = [tuple(certificate_vector(v, cert.context)) for v in vertices(SPEC_INHOM)]
         assert list(table) == rows
         assert data["fVectors"] == [[str(x) for x in row] for row in rows]
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec.cube(5, 2, 3, 2),
+        GridSpec.cube(4, 3, 2, 3),
+        GridSpec.cube(8, 3, 3, 3),
+        GridSpec.cube(3, 4, 2, 4),
+        GridSpec((4, 6), (4, 2), 2),
+        GridSpec((5, 6, 7), (2, 3, 4), 3),
+    ])
+    def test_p_counting_bound_when_r_equals_d(self, spec):
+        # A second lower-bound proof, free of the algebra: firing an edge adds
+        # one vertex and puts at least that edge inside the infected set, so
+        # |S| - e(S) never rises along a run, and a percolating set has at
+        # least |V| - |E_P| members.  With r = d, |E_P| = prod(n_k - t_k + 1)
+        # and |V| - |E_P| is the extremal size.
+        assert certified_lower_bound(spec, "P").lower_bound == spec.num_vertices - count_edges(spec, "P")
 
     def test_degenerate_matrix_is_rejected(self, monkeypatch, capsys):
         # On the t = 3 axis of length 4, two equal power rows make the minor
@@ -785,6 +809,42 @@ class TestAudit:
             assert report.ok
             assert len(eliminating) == cert.lower_bound
             assert sum(eliminating) == 0
+
+    # Fixed, with the number of draws, before the first run.
+    PERMUTATION_SEED = 31
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec.cube(5, 2, 3, 2),
+        GridSpec.cube(6, 3, 3, 2),
+        GridSpec.cube(7, 3, 4, 2),
+        GridSpec.cube(5, 4, 3, 3),
+    ])
+    def test_permuted_extremal_sets_audit_ok(self, spec):
+        # A permutation of each axis's values maps K edges onto K edges, so
+        # g(U) is a minimum percolating set under K.  Its rows are not
+        # triangular in the audit's order, so the audit takes the full
+        # elimination path.
+        rng = random.Random(self.PERMUTATION_SEED)
+        cert = certified_lower_bound(spec, "P")
+        u = extremal_set(spec)
+        eliminating = []
+        original = EliminationBasis._reduce
+
+        def counting(self, vector):
+            eliminating.append(any(vector[c] for c in self._pivot_cols))
+            return original(self, vector)
+
+        for _ in range(2):
+            perms = [[0, *rng.sample(range(1, n + 1), n)] for n in spec.dims]
+            moved = [tuple(perm[x] for perm, x in zip(perms, v)) for v in u]
+            eliminating.clear()
+            with mock.patch.object(EliminationBasis, "_reduce", counting):
+                report = audit_percolating_set(cert, moved, "K")
+            assert any(eliminating)
+            assert report.ok
+            assert report.seed_rank == cert.lower_bound
+            assert report.steps_out_of_span == ()
+            assert report.num_steps == spec.num_vertices - cert.lower_bound
 
 
 class TestSerialization:

@@ -455,6 +455,41 @@ def test_benchmark_budget_exit(capsys):
     assert captured.err == "error: search budget exhausted after 50000 candidate sets (budget 50000)\n"
 
 
+class TestTableGuard:
+    COMMANDS = ["certify", "audit", "minperc"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_thirty_axes_exit_3_before_any_row(self, capsys, monkeypatch, command):
+        # 3^30 vertices and one extremal vertex: a row built would mean the
+        # guard let the table through, so the test fails instead of hanging.
+        def forbidden(v, ctx):
+            raise AssertionError("certificate_vector called")
+
+        monkeypatch.setattr(certificate, "certificate_vector", forbidden)
+        assert main([command, "--n", "3", "--t", "2", "--r", "1", "--d", "30"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the certificate table would hold 205891132094649 x 1 = 205891132094649 entries,"
+            " over the limit of 10000000\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_limit_is_the_largest_table_allowed(self, capsys, monkeypatch, command):
+        # 3^2/t=2/r=2 has 9 vertices and 5 extremal ones: 45 entries.
+        argv = [command, "--d", "2", "--r", "2", "--n", "3", "--t", "2"]
+        monkeypatch.setattr(certificate, "MAX_TABLE_ENTRIES", 45)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(certificate, "MAX_TABLE_ENTRIES", 44)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the certificate table would hold 9 x 5 = 45 entries, over the limit of 44\n"
+        with pytest.raises(certificate.CertificateTooLarge):
+            certificate.certified_lower_bound(GridSpec.cube(3, 2, 2, 2), "P")
+
+
 class TestSweep:
     def test_header_and_shape(self, capsys):
         code = main(["sweep", "--max-n", "3", "--max-d", "2"])
