@@ -52,6 +52,7 @@ from .grid import (
 from .percolation import (
     ClosureResult,
     Hypergraph,
+    HypergraphTooLarge,
     canonical_edges,
     closure,
     grid_hypergraph,
@@ -87,6 +88,7 @@ __all__ = [
     "Graph",
     "GridSpec",
     "Hypergraph",
+    "HypergraphTooLarge",
     "SearchBudgetExceeded",
     "SearchResult",
     "audit_percolating_set",

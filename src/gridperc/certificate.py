@@ -163,12 +163,15 @@ class Certificate:
     vector table (row-major by vertex id) that outputs and audits read.  Both
     depend on the spec only, so the certificate records no family.
 
-    The first audit of a family builds that family's grid hypergraph and the
-    certificate keeps it, so later audits of the family reuse it; a build is
-    freed with its certificate, and a ``dataclasses.replace`` copy starts
-    without one.  Measured with ``tracemalloc``, the K build of 6^3/t=3/r=2
-    (7,200 edges) holds about 1.5 MiB, and the K and P builds of 6^3/t=3/r=2
-    and 4^4/t=2/r=3 together hold 2.35 MiB.
+    The first audit that closes on a family builds that family's grid
+    hypergraph and the certificate keeps it, so later audits closing on the
+    family reuse it; a build is freed with its certificate, and a
+    ``dataclasses.replace`` copy starts without one.  An audit whose seeds
+    reach full rank closes on "P" first (see audit_percolating_set), so a
+    "K" audit of the extremal set builds "P" only.  Measured with
+    ``tracemalloc``, the K build of 6^3/t=3/r=2 (7,200 edges) holds about
+    1.5 MiB, and the K and P builds of 6^3/t=3/r=2 and 4^4/t=2/r=3 together
+    hold 2.35 MiB.
     """
 
     context: CertificateContext
@@ -195,9 +198,10 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
     thus lower triangular with a positive diagonal, of rank |U|.
     Dependency: for every edge, the vectors of its vertices, weighted by their
     edge coefficients (products of per-axis dependency_coeffs, computed once
-    for each of the family's value sets), must sum to zero.  An edge's ids are
-    in row-major order, which is the order of the product of its value sets'
-    coefficients.  The sums run over the edges of ``family``; the certificate
+    for each of the family's value sets on each distinct axis shape
+    (n_k, t_k), whose axes share one matrix), must sum to zero.  An edge's
+    ids are in row-major order, which is the order of the product of its
+    value sets' coefficients.  The sums run over the edges of ``family``; the certificate
     returned is the same for either.  Either walk covers both families: a "P"
     edge is a "K" edge, and the "P" sums imply the "K" sums by the interval
     lemma.  On axis k, the coefficients lambda_A of a t_k-set A of values
@@ -222,10 +226,11 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
             f"the certificate table would hold {spec.num_vertices} x {ctx.u_size} = {entries} entries,"
             f" over the limit of {MAX_TABLE_ENTRIES}"
         )
-    coeffs = [
-        {vals: dependency_coeffs(m, vals) for vals in axis_value_sets(n, t, family)}
-        for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick)
-    ]
+    tables = {}
+    for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick):
+        if (n, t) not in tables:
+            tables[n, t] = {vals: dependency_coeffs(m, vals) for vals in axis_value_sets(n, t, family)}
+    coeffs = [tables[shape] for shape in zip(spec.dims, spec.thick)]
     rows = [tuple(certificate_vector(v, ctx)) for v in vertices(spec)]  # in vertex-id order
     for own, u in enumerate(ctx.u_vertices):
         vec = rows[encode_vertex(spec, u)]
@@ -282,10 +287,21 @@ class AuditReport:
 def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditReport:
     """Replay a closure run from ``initial`` through the certificate algebra.
 
-    ``initial`` is an iterable of vertex coordinate tuples.  The closure runs
-    on the hypergraph of the caller's ``family``; if it percolates, the trace
-    is walked in order, recording every step whose vector enlarges the span of
-    what came before.
+    ``initial`` is an iterable of vertex coordinate tuples.  The seeds'
+    vectors enter the basis before any closure runs.  Below full rank
+    (u_size), the closure runs on the hypergraph of the caller's ``family``;
+    if it percolates, the trace is walked in order, recording every step
+    whose vector enlarges the span of what came before.
+
+    At full rank the closure runs on the "P" hypergraph, and on the "K" one
+    only when the caller's ``family`` is "K" and the set does not percolate
+    on "P".  The report is that of a closure on ``family``: every "P" edge is
+    a "K" edge, so a set that percolates on "P" percolates on "K"; a closure
+    that percolates has |V| - |seeds| steps on either family; and at full
+    rank no trace step is inserted, since each is in span, so no step is out
+    of span on either family.  So a "K" audit of the extremal set, or of any
+    superset, builds only the "P" hypergraph, which has n_k - t_k + 1 value
+    sets per varying axis where "K" has C(n_k, t_k).
 
     Every vector enters the basis with its entries reversed, and the seeds
     enter extremal vertices first, then the others, ids descending within
@@ -302,22 +318,18 @@ def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditRepor
     and the trace steps still follow all seeds, so the report is that of a
     plain id-order replay.
 
-    The certificate keeps each family's hypergraph after its first audit of
-    that family (about 1.5 MiB for the K build of 6^3/t=3/r=2, see
-    Certificate); closure only reads it, so a report does not depend on which
-    audits ran before it.
+    The certificate keeps each family's hypergraph after the first audit
+    that closes on that family (about 1.5 MiB for the K build of
+    6^3/t=3/r=2, see Certificate); closure only reads it, so a report does
+    not depend on which audits ran before it.  A build over
+    MAX_HYPERGRAPH_EDGES edges raises HypergraphTooLarge before any edge is
+    built.
     """
     ctx = cert.context
     spec = ctx.spec
     check_family(family)
     seeds = {encode_vertex(spec, v): v for v in map(tuple, initial)}
     ids = sorted(seeds)
-
-    hypergraph = cert._hypergraphs.get(family)
-    if hypergraph is None:
-        hypergraph = cert._hypergraphs[family] = grid_hypergraph(spec, family)
-    result = closure(hypergraph, ids)
-    percolated = len(result.final) == spec.num_vertices
 
     full = ctx.u_size
     basis = EliminationBasis(full)
@@ -326,6 +338,15 @@ def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditRepor
             break
         basis.insert(cert.f_vectors[a][::-1])
     seed_rank = basis.rank
+
+    for closed_on in dict.fromkeys(("P", family) if seed_rank == full else (family,)):
+        hypergraph = cert._hypergraphs.get(closed_on)
+        if hypergraph is None:
+            hypergraph = cert._hypergraphs[closed_on] = grid_hypergraph(spec, closed_on)
+        result = closure(hypergraph, ids)
+        percolated = len(result.final) == spec.num_vertices
+        if percolated:
+            break
 
     trace = result.trace if percolated else ()
     grew = tuple(

@@ -4,7 +4,8 @@ Subcommands: formula, extremal, edges, closure, certify, audit, minperc,
 rneighbour, wsat, sweep.  Output is JSON; tabular commands also render CSV
 via --format csv.  Exit codes: 0 success / verified / percolated, 1 negative
 result (non-percolation, invalid certificate), 2 invalid input, 3 search
-budget exceeded or certificate table over its size limit.
+budget exceeded, certificate table over its size limit or grid hypergraph
+over its edge limit.
 
 Each ``_cmd_*`` handler only computes: it returns ``(payload, table,
 exit_code)``, where ``payload`` is the JSON-ready result and ``table`` holds
@@ -13,10 +14,11 @@ the CSV rows, header row first, or is None on commands without --format.
 to exit codes.
 
 A certificate depends on the spec only, and the family belongs to the
-caller: ``certify`` walks and prints --family, and ``audit`` closes the set
-on it.  ``sweep``, certified ``minperc`` and ``audit`` walk the "P" edges
-whatever --family says; by the interval lemma in ``certified_lower_bound``
-that check covers the "K" edges too.
+caller: ``certify`` walks and prints --family, and ``audit`` reports
+percolation on it (closing on "P" first when the set's vectors reach full
+rank, see audit_percolating_set).  ``sweep``, certified ``minperc`` and
+``audit`` walk the "P" edges whatever --family says; by the interval lemma
+in ``certified_lower_bound`` that check covers the "K" edges too.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .grid import (
     family_images,
 )
 from .percolation import (
+    HypergraphTooLarge,
+    check_edge_count,
     closure,
     grid_hypergraph,
     read_hypergraph,
@@ -130,6 +134,7 @@ def _cmd_edges(args):
     payload = {"family": args.family, "count": count}
     table = [["count"], [count]]
     if args.list:
+        check_edge_count(count, args.family)
         edges = list(enumerate_edges(spec, args.family))
         payload["edges"] = [
             {
@@ -433,7 +438,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (SearchBudgetExceeded, CertificateTooLarge) as exc:
+    except (SearchBudgetExceeded, CertificateTooLarge, HypergraphTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CertificateError as exc:

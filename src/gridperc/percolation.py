@@ -13,7 +13,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .grid import GridSpec, enumerate_edges
+from .grid import GridSpec, count_edges, enumerate_edges
+
+# The most edges a grid family may have for grid_hypergraph to build it or
+# for ``edges --list`` to list it.  P 60^3/t=5/r=2 (564,480 edges) is under
+# it, and building and closing it peaked at 922 MiB; the K 10^3/t=4/r=2 build
+# (1,323,000 edges) took 1,140 MiB (Python 3.11, 2 shared cores).
+MAX_HYPERGRAPH_EDGES = 10**6
 
 
 class Hypergraph:
@@ -129,13 +135,30 @@ def percolates(h: Hypergraph, initial) -> bool:
     return len(closure(h, initial).final) == h.num_vertices
 
 
+class HypergraphTooLarge(RuntimeError):
+    """A grid family has more than MAX_HYPERGRAPH_EDGES edges."""
+
+
+def check_edge_count(count: int, family: str) -> None:
+    """Raise HypergraphTooLarge if ``count`` edges of ``family`` are more
+    than MAX_HYPERGRAPH_EDGES."""
+    if count > MAX_HYPERGRAPH_EDGES:
+        raise HypergraphTooLarge(
+            f"the {family} family has {count} edges, over the limit of {MAX_HYPERGRAPH_EDGES}"
+        )
+
+
 def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
     """Materialize a grid family as an explicit hypergraph.
 
     Edges and their order are those of enumerate_edges, whose ids come from
     the grid codec's row-major strides, so only the grid module knows the id
-    layout; they are sorted and in range, so they go in unchecked.
+    layout; they are sorted and in range, so they go in unchecked.  The
+    closed-form count_edges is checked first: a family over
+    MAX_HYPERGRAPH_EDGES edges raises HypergraphTooLarge before any edge is
+    built.
     """
+    check_edge_count(count_edges(spec, family), family)
     return Hypergraph(spec.num_vertices, (edge[3] for edge in enumerate_edges(spec, family)))
 
 

@@ -156,6 +156,16 @@ MUTANTS = [
         ],
     ),
     (
+        "coefficient table rebuilt for every axis",
+        CERT,
+        "if (n, t) not in tables:",
+        "if True:",
+        [
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_coefficients_only_for_the_walked_family[spec0]",
+            "tests/test_certificate.py::TestCertifiedLowerBound::test_coefficients_only_for_the_walked_family[spec3]",
+        ],
+    ),
+    (
         "trace steps inserted unreversed",
         CERT,
         "basis.insert(cert.f_vectors[v][::-1])",
@@ -178,12 +188,44 @@ MUTANTS = [
     (
         "audit closes on a fixed K",
         CERT,
-        "cert._hypergraphs[family] = grid_hypergraph(spec, family)",
-        'cert._hypergraphs[family] = grid_hypergraph(spec, "K")',
+        "cert._hypergraphs[closed_on] = grid_hypergraph(spec, closed_on)",
+        'cert._hypergraphs[closed_on] = grid_hypergraph(spec, "K")',
         [
             "tests/test_certificate.py::TestAudit::test_one_build_per_certificate_and_family",
             "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[P-spec3]",
             "tests/test_certificate.py::TestAudit::test_k_only_percolating_sets",
+        ],
+    ),
+    (
+        "no K fallback when P fails at full rank",
+        CERT,
+        '("P", family) if seed_rank == full',
+        '("P",) if seed_rank == full',
+        [
+            "tests/test_certificate.py::TestAudit::test_k_only_percolating_sets",
+            "tests/test_certificate.py::TestAudit::test_full_rank_k_audit_closes_on_p_first[case2]",
+            "tests/test_certificate.py::TestAudit::test_permuted_extremal_sets_audit_ok[spec0]",
+        ],
+    ),
+    (
+        "P chosen below full rank",
+        CERT,
+        "else (family,)):",
+        'else ("P",)):',
+        [
+            "tests/test_certificate.py::TestAudit::test_full_rank_k_audit_closes_on_p_first[case0]",
+            "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[K-spec3]",
+        ],
+    ),
+    (
+        "hypergraph edge guard disabled",
+        PERC,
+        "if count > MAX_HYPERGRAPH_EDGES:",
+        "if False:",
+        [
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_edges_built[edges]",
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_edges_built[audit]",
+            "tests/test_cli.py::TestHypergraphGuard::test_counts_at_the_real_limit",
         ],
     ),
     (

@@ -491,8 +491,8 @@ class TestCertifiedLowerBound:
         # The context checks each distinct axis matrix for general position
         # once, at its first axis, and computes no dependency coefficient
         # (the axes of a cube share one matrix); a certificate computes one per
-        # value set of the family it walks: every t_k-subset for K, every
-        # interval for P.
+        # value set of the family it walks, every t_k-subset for K, every
+        # interval for P, once per distinct axis shape (n_k, t_k).
         coeffs = mock.patch.object(certificate, "dependency_coeffs", wraps=certificate.dependency_coeffs)
         checks = mock.patch.object(certificate, "verify_general_position", wraps=certificate.verify_general_position)
         computed = {}
@@ -503,7 +503,7 @@ class TestCertifiedLowerBound:
                 counted.reset_mock()
                 certified_lower_bound(spec, family)
                 computed[family] = counted.call_count
-        axes = list(zip(spec.dims, spec.thick))
+        axes = list(dict.fromkeys(zip(spec.dims, spec.thick)))
         assert computed == {
             None: 0,
             "K": sum(math.comb(n, t) for n, t in axes),
@@ -664,16 +664,18 @@ class TestAudit:
         assert report.seed_rank == cert.lower_bound == 4
         assert report.ok
 
+    # Each set has the extremal set's size and percolates under K but not
+    # under P.
+    K_ONLY_CASES = [
+        (GridSpec.cube(3, 2, 2, 2), (0, 1, 5, 6, 8)),
+        (GridSpec.cube(4, 2, 2, 2), (0, 1, 2, 4, 11, 12, 15)),
+        (GridSpec.cube(3, 3, 2, 2), (0, 1, 2, 3, 15, 18, 24)),
+        (GridSpec.cube(4, 2, 3, 1), (0, 1, 4, 7)),
+    ]
+
     def test_k_only_percolating_sets(self):
-        # Each set has the extremal set's size and percolates under K but not
-        # under P, so an audit that closes on the wrong family shows.
-        cases = [
-            (GridSpec.cube(3, 2, 2, 2), (0, 1, 5, 6, 8)),
-            (GridSpec.cube(4, 2, 2, 2), (0, 1, 2, 4, 11, 12, 15)),
-            (GridSpec.cube(3, 3, 2, 2), (0, 1, 2, 3, 15, 18, 24)),
-            (GridSpec.cube(4, 2, 3, 1), (0, 1, 4, 7)),
-        ]
-        for spec, ids in cases:
+        # An audit that closes on the wrong family shows on these sets.
+        for spec, ids in self.K_ONLY_CASES:
             cert = certified_lower_bound(spec, "P")
             seeds = [decode_vertex(spec, i) for i in ids]
             assert len(seeds) == cert.lower_bound
@@ -696,6 +698,29 @@ class TestAudit:
         damaged = damaged_certificate(cert)
         assert audit_percolating_set(damaged, seeds, family) == reference_audit(damaged, seeds, family)
 
+    @pytest.mark.parametrize("case", K_ONLY_CASES)
+    def test_full_rank_k_audit_closes_on_p_first(self, case):
+        # At full rank a K audit settles percolation on P, and builds K only
+        # when P does not percolate; below full rank it closes on its own
+        # family.  A dataclasses.replace copy starts with no builds.
+        spec, ids = case
+        cert = certified_lower_bound(spec, "P")
+        u = extremal_set(spec)
+        superset = u + [v for v in vertices(spec) if v not in set(u)][::2]
+        k_only = [decode_vertex(spec, i) for i in ids]
+        spy = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
+        for seed_sets, family, builds in [
+            ([u, superset], "K", ["P"]),
+            ([k_only], "K", ["P", "K"]),
+            ([u[1:]], "K", ["K"]),
+            ([u[1:]], "P", ["P"]),
+        ]:
+            fresh = dataclasses.replace(cert)
+            with spy as built:
+                reports = [audit_percolating_set(fresh, seeds, family) for seeds in seed_sets]
+            assert [c.args for c in built.call_args_list] == [(spec, fam) for fam in builds]
+            assert reports == [reference_audit(cert, seeds, family) for seeds in seed_sets]
+
     def test_one_build_per_certificate_and_family(self):
         spec = GridSpec.cube(3, 3, 2, 2)
         u = extremal_set(spec)
@@ -704,20 +729,27 @@ class TestAudit:
         moved = [v for v in u if v != (1, 1, 1)] + [(1, 3, 3)]
         seed_sets = [u, moved, u[1:]]
         cert = certified_lower_bound(spec, "K")
-        one_each = [(spec, fam) for fam in FAMILIES]
+        # The K audit of u is at full rank and builds P; moved, at full rank
+        # too, needs K.  The damaged certificate's u is below full rank, so
+        # its K audits build K, and its P audits P.
+        p_then_k = [(spec, "P"), (spec, "K")]
         spy = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
         with spy as built:
             reports = {fam: [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] for fam in FAMILIES}
-            assert [c.args for c in built.call_args_list] == one_each
+            assert [c.args for c in built.call_args_list] == p_then_k
             for fam in FAMILIES:
                 assert [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] == reports[fam]
             assert built.call_count == len(FAMILIES)
-            for other in (certified_lower_bound(spec, "K"), damaged_certificate(cert)):
+            for other, order in [
+                (certified_lower_bound(spec, "K"), p_then_k),
+                (damaged_certificate(cert), p_then_k[::-1]),
+            ]:
                 built.reset_mock()
                 for fam in FAMILIES:
-                    audit_percolating_set(other, u, fam)
-                    audit_percolating_set(other, u, fam)
-                assert [c.args for c in built.call_args_list] == one_each
+                    for seeds in seed_sets:
+                        audit_percolating_set(other, seeds, fam)
+                        audit_percolating_set(other, seeds, fam)
+                assert [c.args for c in built.call_args_list] == order
         for fam, fam_reports in reports.items():
             assert fam_reports == [reference_audit(cert, seeds, fam) for seeds in seed_sets]
         assert [r.percolated for r in reports["K"]] == [True, True, False]

@@ -490,6 +490,53 @@ class TestTableGuard:
             certificate.certified_lower_bound(GridSpec.cube(3, 2, 2, 2), "P")
 
 
+class TestHypergraphGuard:
+    # 3^2/t=2/r=2 has 9 K edges and 4 P edges.
+    SPEC = ["--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", "K"]
+
+    @pytest.mark.parametrize("command, code", [
+        (["edges", "--list"], 0),
+        (["closure", "--initial-u"], 0),
+        (["minperc", "--exhaustive"], 0),
+        (["audit", "--remove", "0"], 1),  # below full rank: closes on K
+    ], ids=["edges", "closure", "minperc", "audit"])
+    def test_limit_is_the_most_edges_built(self, capsys, monkeypatch, command, code):
+        argv = [*command, *self.SPEC]
+        monkeypatch.setattr(percolation, "MAX_HYPERGRAPH_EDGES", 9)
+        assert main(argv) == code
+        capsys.readouterr()
+        monkeypatch.setattr(percolation, "MAX_HYPERGRAPH_EDGES", 8)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the K family has 9 edges, over the limit of 8\n"
+
+    def test_full_rank_audit_needs_no_k_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(percolation, "MAX_HYPERGRAPH_EDGES", 4)
+        code, data = run_json(capsys, ["audit", *self.SPEC])
+        assert (code, data["family"], data["ok"]) == (0, "K", True)
+
+    def test_counts_at_the_real_limit(self, capsys, monkeypatch):
+        # Only closed-form counts: no test builds a hypergraph near the limit.
+        def forbidden(spec, family):
+            raise AssertionError("a hypergraph over the limit was built")
+
+        monkeypatch.setattr(percolation, "enumerate_edges", forbidden)
+        assert percolation.MAX_HYPERGRAPH_EDGES == 10**6
+        assert count_edges(GridSpec.cube(60, 3, 5, 2), "P") == 564_480
+        percolation.check_edge_count(564_480, "P")
+        for n, edges in [(10, 1_323_000), (12, 8_820_900)]:
+            assert count_edges(GridSpec.cube(n, 3, 4, 2), "K") == edges
+            with pytest.raises(percolation.HypergraphTooLarge, match=f"the K family has {edges} edges"):
+                percolation.grid_hypergraph(GridSpec.cube(n, 3, 4, 2), "K")
+        # The count alone is not guarded; the K fallback of an audit below
+        # full rank is.
+        code, data = run_json(capsys, ["edges", "--d", "3", "--n", "12", "--t", "4", "--r", "2"])
+        assert (code, data["count"]) == (0, 8_820_900)
+        assert main(["audit", "--d", "3", "--n", "12", "--t", "4", "--r", "2", "--remove", "0"]) == 3
+        assert capsys.readouterr().err == "error: the K family has 8820900 edges, over the limit of 1000000\n"
+
+
 class TestSweep:
     def test_header_and_shape(self, capsys):
         code = main(["sweep", "--max-n", "3", "--max-d", "2"])
