@@ -48,6 +48,7 @@ from .grid import (
     encode_vertex,
     enumerate_edges,
     extremal_set,
+    extremal_size,
     vertices,
 )
 from .percolation import Hypergraph, closure, grid_hypergraph
@@ -216,16 +217,18 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
     varying axes and fixed values.  Any failure raises CertificateError; on
     success the lower bound equals the extremal-set size.  A spec whose table
     would hold more than MAX_TABLE_ENTRIES entries raises CertificateTooLarge
-    before any row is built.
+    before build_context lists the extremal set: |U| is the closed-form
+    extremal_size.
     """
     check_family(family)
-    ctx = build_context(spec)
-    entries = spec.num_vertices * ctx.u_size
+    u_size = extremal_size(spec)
+    entries = spec.num_vertices * u_size
     if entries > MAX_TABLE_ENTRIES:
         raise CertificateTooLarge(
-            f"the certificate table would hold {spec.num_vertices} x {ctx.u_size} = {entries} entries,"
+            f"the certificate table would hold {spec.num_vertices} x {u_size} = {entries} entries,"
             f" over the limit of {MAX_TABLE_ENTRIES}"
         )
+    ctx = build_context(spec)
     tables = {}
     for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick):
         if (n, t) not in tables:

@@ -212,20 +212,25 @@ def enumerate_edges(spec: GridSpec, family: str):
                 yield varying, values, fixed, tuple([base + o for o in offsets])
 
 
+def _axis_polynomial(pairs) -> list[int]:
+    """Coefficients, constant term first, of the product of b + a*x over the
+    ``(b, a)`` pairs: one multiplication per axis, O(d^2) in all."""
+    coeffs = [1]
+    for b, a in pairs:
+        coeffs = [b * low + a * high for low, high in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def count_edges(spec: GridSpec, family: str) -> int:
-    """Closed-form edge count; equals the length of enumerate_edges."""
+    """Closed-form edge count; equals the length of enumerate_edges.
+
+    The coefficient of x^r in prod_k (n_k + s_k x), with s_k the family's
+    value sets on axis k: C(n_k, t_k) for "K", n_k - t_k + 1 for "P".  Each
+    term picks s_k on the r varying axes and n_k fixed values on the rest.
+    """
     check_family(family)
-    total = 0
-    for varying in itertools.combinations(range(1, spec.d + 1), spec.r):
-        ways = 1
-        for k in varying:
-            n, t = spec.dims[k - 1], spec.thick[k - 1]
-            ways *= math.comb(n, t) if family == "K" else n - t + 1
-        for k in range(1, spec.d + 1):
-            if k not in varying:
-                ways *= spec.dims[k - 1]
-        total += ways
-    return total
+    pairs = ((n, math.comb(n, t) if family == "K" else n - t + 1) for n, t in zip(spec.dims, spec.thick))
+    return _axis_polynomial(pairs)[spec.r]
 
 
 def extremal_set(spec: GridSpec) -> list[Vertex]:
@@ -266,17 +271,9 @@ def extremal_size(spec: GridSpec) -> int:
     """Size of extremal_set in closed form.
 
     Sum over axis subsets S with |S| <= r-1 of
-    prod_{k in S} (n_k + 1 - t_k) * prod_{k not in S} (t_k - 1);
-    for homogeneous specs this is sum_s C(d,s) (t-1)^(d-s) (n+1-t)^s.
+    prod_{k in S} (n_k + 1 - t_k) * prod_{k not in S} (t_k - 1), that is, the
+    sum of the coefficients of x^0 .. x^(r-1) in
+    prod_k ((t_k - 1) + (n_k + 1 - t_k) x); for homogeneous specs this is
+    sum_s C(d,s) (t-1)^(d-s) (n+1-t)^s.
     """
-    total = 0
-    axes = range(spec.d)
-    for size in range(spec.r):
-        for subset in itertools.combinations(axes, size):
-            inside = set(subset)
-            term = 1
-            for k in axes:
-                n, t = spec.dims[k], spec.thick[k]
-                term *= (n + 1 - t) if k in inside else (t - 1)
-            total += term
-    return total
+    return sum(_axis_polynomial((t - 1, n + 1 - t) for n, t in zip(spec.dims, spec.thick))[: spec.r])

@@ -10,6 +10,7 @@ outside edge lists, such as the text format's, pass ``canonical_edges`` first.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -18,8 +19,13 @@ from .grid import GridSpec, count_edges, enumerate_edges
 # The most edges a grid family may have for grid_hypergraph to build it or
 # for ``edges --list`` to list it.  P 60^3/t=5/r=2 (564,480 edges) is under
 # it, and building and closing it peaked at 922 MiB; the K 10^3/t=4/r=2 build
-# (1,323,000 edges) took 1,140 MiB (Python 3.11, 2 shared cores).
+# (1,323,000 edges) took 1,140 MiB (Python 3.11, 2 shared cores).  The same
+# limit holds for the edges of a weak saturation hypergraph and of a grid
+# graph.
 MAX_HYPERGRAPH_EDGES = 10**6
+# The most vertices a hypergraph or grid graph may have: each vertex gets an
+# incidence list, and P 2^24/t=2/r=24, one edge, would get 2^24 of them.
+MAX_HYPERGRAPH_VERTICES = 10**6
 
 
 class Hypergraph:
@@ -136,16 +142,24 @@ def percolates(h: Hypergraph, initial) -> bool:
 
 
 class HypergraphTooLarge(RuntimeError):
-    """A grid family has more than MAX_HYPERGRAPH_EDGES edges."""
+    """A hypergraph or graph would have more than MAX_HYPERGRAPH_EDGES edges
+    or more than MAX_HYPERGRAPH_VERTICES vertices."""
+
+
+def check_size(owner: str, vertices: int, edges: int = 0) -> None:
+    """Raise HypergraphTooLarge, naming ``owner``, if ``edges`` is over
+    MAX_HYPERGRAPH_EDGES or, failing that, ``vertices`` is over
+    MAX_HYPERGRAPH_VERTICES.  Builders call it with closed-form counts
+    before they allocate."""
+    for count, unit, limit in ((edges, "edges", MAX_HYPERGRAPH_EDGES), (vertices, "vertices", MAX_HYPERGRAPH_VERTICES)):
+        if count > limit:
+            raise HypergraphTooLarge(f"{owner} has {count} {unit}, over the limit of {limit}")
 
 
 def check_edge_count(count: int, family: str) -> None:
     """Raise HypergraphTooLarge if ``count`` edges of ``family`` are more
     than MAX_HYPERGRAPH_EDGES."""
-    if count > MAX_HYPERGRAPH_EDGES:
-        raise HypergraphTooLarge(
-            f"the {family} family has {count} edges, over the limit of {MAX_HYPERGRAPH_EDGES}"
-        )
+    check_size(f"the {family} family", 0, count)
 
 
 def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
@@ -154,11 +168,12 @@ def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
     Edges and their order are those of enumerate_edges, whose ids come from
     the grid codec's row-major strides, so only the grid module knows the id
     layout; they are sorted and in range, so they go in unchecked.  The
-    closed-form count_edges is checked first: a family over
-    MAX_HYPERGRAPH_EDGES edges raises HypergraphTooLarge before any edge is
-    built.
+    closed-form count_edges, O(d^2), and the vertex count are checked
+    first: a family over MAX_HYPERGRAPH_EDGES edges or a grid over
+    MAX_HYPERGRAPH_VERTICES vertices raises HypergraphTooLarge before
+    anything is built.
     """
-    check_edge_count(count_edges(spec, family), family)
+    check_size(f"the {family} family", spec.num_vertices, count_edges(spec, family))
     return Hypergraph(spec.num_vertices, (edge[3] for edge in enumerate_edges(spec, family)))
 
 
@@ -169,10 +184,13 @@ def weak_saturation_hypergraph(n: int, k: int) -> Hypergraph:
     order); there is one hyperedge per k-clique, holding that clique's C(k,2)
     pair ids, increasing since both the pairs of a clique and the ids are
     lexicographic.  A set of graph edges percolates iff the missing edges can
-    be added one at a time, each completing a k-clique.
+    be added one at a time, each completing a k-clique.  More than
+    MAX_HYPERGRAPH_EDGES hyperedges or MAX_HYPERGRAPH_VERTICES vertices
+    raises HypergraphTooLarge before any is built.
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
+    check_size(f"the n={n}, k={k} weak saturation hypergraph", math.comb(n, 2), math.comb(n, k))
     pair_id = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     hyperedges = [
         tuple([pair_id[p] for p in itertools.combinations(clique, 2)])
@@ -200,7 +218,9 @@ def weak_saturation_images(n: int) -> list[tuple[int, ...]]:
 def parse_hypergraph(text: str) -> Hypergraph:
     """Read the text form: header ``p <num_vertices> <num_edges>``, then one
     line of space-separated 0-based ids per edge, in any order, with repeats
-    dropped; blank lines are ignored."""
+    dropped; blank lines are ignored.  A vertex count over
+    MAX_HYPERGRAPH_VERTICES raises HypergraphTooLarge before the incidence
+    lists are allocated."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or rows[0][:1] != ["p"] or len(rows[0]) != 3:
         raise ValueError("expected header line 'p <num_vertices> <num_edges>'")
@@ -215,7 +235,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         edges = [[int(tok) for tok in row] for row in body]
     except ValueError:
         raise ValueError("non-integer vertex id in edge line") from None
-    return Hypergraph(nv, canonical_edges(nv, edges))
+    edges = canonical_edges(nv, edges)
+    check_size("the hypergraph", nv)
+    return Hypergraph(nv, edges)
 
 
 def read_hypergraph(path) -> Hypergraph:

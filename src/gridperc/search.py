@@ -77,8 +77,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import GridSpec, enumerate_edges
-from .percolation import Hypergraph
+from .grid import GridSpec, count_edges, enumerate_edges
+from .percolation import Hypergraph, check_size
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -264,19 +264,14 @@ def _min_subset_search(num_vertices, spread, start, mandatory, budget, images, d
                 return _result(mandatory, found, before[low])
             low += 1
     found = _first_at_size(free, spread, start, full, size, budget - before[size], images, doomed)
-    if found is None and size > low:
-        # No size-set percolates within the budget; the minimum is within it
-        # only if it is smaller, so the size below must hold a percolating set.
-        size -= 1
-        found = _first_at_size(free, spread, start, full, size, math.inf, images, doomed)
-    if found is None:
-        raise SearchBudgetExceeded(budget, budget)
     while size > low:
         smaller = _first_at_size(free, spread, start, full, size - 1, math.inf, images, doomed)
         if smaller is None:
             break
         size -= 1
         found = smaller
+    if found is None:  # none at the budget's last size, nor at the size below, walked in full
+        raise SearchBudgetExceeded(budget, budget)
     return _result(mandatory, found, before[size])
 
 
@@ -350,13 +345,19 @@ def grid_graph(dims) -> Graph:
     two are adjacent iff their tuples differ by exactly 1 in one axis.  The
     edges are the "P" family with thickness 2 and copy rank 1 on the axes
     longer than 1 (an axis of length 1 holds no edge and moves no id).
+    More than MAX_HYPERGRAPH_VERTICES vertices, or MAX_HYPERGRAPH_EDGES
+    edges by the closed-form count_edges, raise HypergraphTooLarge before
+    any is built.
     """
     dims = tuple(operator.index(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"axis lengths must be >= 1, got {dims}")
     long = tuple(n for n in dims if n > 1)
-    edges = enumerate_edges(GridSpec(long, (2,) * len(long), 1), "P") if long else ()
-    return Graph(math.prod(dims), (ids for *_, ids in edges))
+    if not long:
+        return Graph(1, ())
+    spec = GridSpec(long, (2,) * len(long), 1)
+    check_size("the grid graph", spec.num_vertices, count_edges(spec, "P"))
+    return Graph(spec.num_vertices, (ids for *_, ids in enumerate_edges(spec, "P")))
 
 
 def hypercube_graph(d: int) -> Graph:

@@ -220,12 +220,34 @@ MUTANTS = [
     (
         "hypergraph edge guard disabled",
         PERC,
-        "if count > MAX_HYPERGRAPH_EDGES:",
+        "if count > limit:",
         "if False:",
         [
             "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_edges_built[edges]",
             "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_edges_built[audit]",
             "tests/test_cli.py::TestHypergraphGuard::test_counts_at_the_real_limit",
+            "tests/test_cli.py::TestHypergraphGuard::test_vertices_at_the_real_limit",
+        ],
+    ),
+    (
+        "axis polynomial multiplied by b*x + a",
+        GRID,
+        "zip(coeffs + [0], [0] + coeffs)",
+        "zip([0] + coeffs, coeffs + [0])",
+        [
+            "tests/test_grid.py::TestEdges::test_counts_match_oracle",
+            "tests/test_grid.py::TestExtremal::test_sizes",
+            "tests/test_grid.py::TestClosedFormsAtScale::test_cubes_match_the_binomial_sums[5]",
+        ],
+    ),
+    (
+        "table guard counts U by listing it",
+        CERT,
+        "u_size = extremal_size(spec)",
+        "u_size = len(extremal_set(spec))",
+        [
+            "tests/test_cli.py::TestTableGuard::test_table_is_sized_before_the_extremal_set_is_listed[certify]",
+            "tests/test_cli.py::TestTableGuard::test_table_is_sized_before_the_extremal_set_is_listed[audit]",
         ],
     ),
     (

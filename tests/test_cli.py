@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gridperc
-from gridperc import certificate, cli, grid, percolation
+from gridperc import certificate, cli, grid, percolation, search
 from gridperc.cli import main
 from gridperc.grid import FAMILIES, GridSpec, count_edges, extremal_size
 from gridperc.percolation import weak_saturation_hypergraph
@@ -489,6 +489,22 @@ class TestTableGuard:
         with pytest.raises(certificate.CertificateTooLarge):
             certificate.certified_lower_bound(GridSpec.cube(3, 2, 2, 2), "P")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_table_is_sized_before_the_extremal_set_is_listed(self, capsys, monkeypatch, command):
+        # |U| = 3^20 - 2^20: listing U would take gigabytes, so the guard
+        # reads the closed-form extremal_size before build_context.
+        def forbidden(spec):
+            raise AssertionError("extremal_set called")
+
+        monkeypatch.setattr(certificate, "extremal_set", forbidden)
+        assert main([command, "--n", "3", "--t", "2", "--r", "20", "--d", "20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the certificate table would hold 3486784401 x 3485735825 = 12154009300616865825 entries,"
+            " over the limit of 10000000\n"
+        )
+
 
 class TestHypergraphGuard:
     # 3^2/t=2/r=2 has 9 K edges and 4 P edges.
@@ -535,6 +551,65 @@ class TestHypergraphGuard:
         assert (code, data["count"]) == (0, 8_820_900)
         assert main(["audit", "--d", "3", "--n", "12", "--t", "4", "--r", "2", "--remove", "0"]) == 3
         assert capsys.readouterr().err == "error: the K family has 8820900 edges, over the limit of 1000000\n"
+
+    @pytest.mark.parametrize("argv, code, owner, unit, count", [
+        (["closure", "--infected", "0", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", "P"],
+         1, "the P family", "vertices", 9),
+        (["minperc", "--exhaustive", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", "P"],
+         0, "the P family", "vertices", 9),
+        (["wsat", "--n", "5", "--k", "3"], 0, "the n=5, k=3 weak saturation hypergraph", "vertices", 10),
+        (["wsat", "--n", "5", "--k", "4"], 0, "the n=5, k=4 weak saturation hypergraph", "edges", 5),
+        (["rneighbour", "--grid", "3,3", "--r", "2"], 0, "the grid graph", "vertices", 9),
+        (["rneighbour", "--grid", "3,1,3", "--r", "2"], 0, "the grid graph", "edges", 12),
+        (["rneighbour", "--hypercube", "3", "--r", "2"], 0, "the grid graph", "edges", 12),
+    ], ids=["closure", "minperc", "wsat-vertices", "wsat-edges", "grid-vertices", "grid-edges", "hypercube"])
+    def test_limit_is_the_most_built(self, capsys, monkeypatch, argv, code, owner, unit, count):
+        limit = "MAX_HYPERGRAPH_VERTICES" if unit == "vertices" else "MAX_HYPERGRAPH_EDGES"
+        monkeypatch.setattr(percolation, limit, count)
+        assert main(argv) == code
+        capsys.readouterr()
+        monkeypatch.setattr(percolation, limit, count - 1)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {owner} has {count} {unit}, over the limit of {count - 1}\n"
+
+    def test_header_vertex_count_is_the_most_read(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("p 3 1\n0 1 2\n")
+        argv = ["closure", "--input", str(path), "--infected", "0,1"]
+        monkeypatch.setattr(percolation, "MAX_HYPERGRAPH_VERTICES", 3)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(percolation, "MAX_HYPERGRAPH_VERTICES", 2)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the hypergraph has 3 vertices, over the limit of 2\n"
+
+    def test_vertices_at_the_real_limit(self, capsys, monkeypatch, tmp_path):
+        # Refused by the closed-form counts alone: building any of these
+        # would fail the test instead of allocating.
+        def forbidden(*args):
+            raise AssertionError("a structure over the limit was built")
+
+        monkeypatch.setattr(percolation, "Hypergraph", forbidden)
+        monkeypatch.setattr(search, "Graph", forbidden)
+        path = tmp_path / "h.txt"
+        path.write_text("p 3000000000 0\n")
+        for argv, message in [
+            (["closure", "--n", "2", "--t", "2", "--d", "24", "--r", "24", "--family", "P", "--infected", "0"],
+             "the P family has 16777216 vertices"),
+            (["minperc", "--n", "2", "--t", "2", "--d", "22", "--r", "22", "--family", "P", "--exhaustive"],
+             "the P family has 4194304 vertices"),
+            (["closure", "--input", str(path), "--infected", "0"], "the hypergraph has 3000000000 vertices"),
+            (["rneighbour", "--hypercube", "40", "--r", "2"], "the grid graph has 21990232555520 edges"),
+            (["rneighbour", "--grid", "100000,100000", "--r", "2"], "the grid graph has 19999800000 edges"),
+        ]:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}, over the limit of 1000000\n"
 
 
 class TestSweep:

@@ -296,6 +296,27 @@ class TestExtremal:
                     assert extremal_size(spec) == n**d - (n + 1 - t) ** d
 
 
+class TestClosedFormsAtScale:
+    # Both counts are coefficients of one product over the axes, O(d^2); the
+    # axis-subset sums they replace took seconds at d = 22 and did not finish
+    # at d = 30, r = 15.
+    def test_headline_specs(self):
+        assert count_edges(GridSpec.cube(2, 30, 2, 15), "K") == math.comb(30, 15) * 2**15
+        assert extremal_size(GridSpec.cube(3, 60, 2, 60)) == 3**60 - 2**60
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 13, 40])
+    def test_cubes_match_the_binomial_sums(self, d):
+        for n in (2, 3, 6):
+            for t in range(2, n + 1):
+                for r in range(1, d + 1):
+                    spec = GridSpec.cube(n, d, t, r)
+                    assert extremal_size(spec) == sum(
+                        math.comb(d, s) * (t - 1) ** (d - s) * (n + 1 - t) ** s for s in range(r)
+                    )
+                    for family, ways in (("K", math.comb(n, t)), ("P", n - t + 1)):
+                        assert count_edges(spec, family) == math.comb(d, r) * ways**r * n ** (d - r)
+
+
 class TestAxisImages:
     @given(grid_specs())
     def test_reflections_then_equal_adjacent_swaps(self, spec):
