@@ -14,7 +14,8 @@ Library layout:
   ``det``, ``matrix_rank`` and the incremental ``EliminationBasis``,
 * ``certificate`` -- construction, verification (span from the triangular
   extremal rows) and auditing of the exact lower-bound certificate,
-* ``search`` -- independent brute-force oracles and the r-neighbour process,
+* ``search`` -- independent brute-force oracles and the r-neighbour process
+  on a ``Hypergraph`` read as a simple graph,
 * ``cli`` -- the ``gridperc`` command-line driver.
 """
 
@@ -62,7 +63,6 @@ from .percolation import (
 )
 from .search import (
     DEFAULT_BUDGET,
-    Graph,
     SearchBudgetExceeded,
     SearchResult,
     greedy_r_neighbour_upper_bound,
@@ -85,7 +85,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "EliminationBasis",
     "FAMILIES",
-    "Graph",
     "GridSpec",
     "Hypergraph",
     "HypergraphTooLarge",

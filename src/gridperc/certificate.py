@@ -45,13 +45,14 @@ from .grid import (
     Vertex,
     axis_value_sets,
     check_family,
+    count_edges,
     encode_vertex,
     enumerate_edges,
     extremal_set,
     extremal_size,
     vertices,
 )
-from .percolation import Hypergraph, closure, grid_hypergraph
+from .percolation import Hypergraph, check_edge_count, closure, grid_hypergraph
 
 
 class CertificateError(RuntimeError):
@@ -218,7 +219,8 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
     success the lower bound equals the extremal-set size.  A spec whose table
     would hold more than MAX_TABLE_ENTRIES entries raises CertificateTooLarge
     before build_context lists the extremal set: |U| is the closed-form
-    extremal_size.
+    extremal_size.  Then a walk over more than MAX_HYPERGRAPH_EDGES edges of
+    ``family``, by the closed-form count_edges, raises HypergraphTooLarge.
     """
     check_family(family)
     u_size = extremal_size(spec)
@@ -228,6 +230,7 @@ def certified_lower_bound(spec: GridSpec, family: str) -> Certificate:
             f"the certificate table would hold {spec.num_vertices} x {u_size} = {entries} entries,"
             f" over the limit of {MAX_TABLE_ENTRIES}"
         )
+    check_edge_count(count_edges(spec, family), family)
     ctx = build_context(spec)
     tables = {}
     for m, n, t in zip(ctx.axis_matrices, spec.dims, spec.thick):

@@ -4,8 +4,8 @@ Subcommands: formula, extremal, edges, closure, certify, audit, minperc,
 rneighbour, wsat, sweep.  Output is JSON; tabular commands also render CSV
 via --format csv.  Exit codes: 0 success / verified / percolated, 1 negative
 result (non-percolation, invalid certificate), 2 invalid input, 3 search
-budget exceeded, certificate table over its size limit or grid hypergraph
-over its edge limit.
+budget exceeded, or a certificate table, hypergraph, edge walk, extremal
+set or set of search masks over its size limit.
 
 Each ``_cmd_*`` handler only computes: it returns ``(payload, table,
 exit_code)``, where ``payload`` is the JSON-ready result and ``table`` holds
@@ -53,6 +53,7 @@ from .grid import (
 from .percolation import (
     HypergraphTooLarge,
     check_edge_count,
+    check_size,
     closure,
     grid_hypergraph,
     read_hypergraph,
@@ -123,6 +124,7 @@ def _cmd_formula(args):
 
 def _cmd_extremal(args):
     spec = _parse_spec(args)
+    check_size("the extremal set", extremal_size(spec))
     u = [list(v) for v in extremal_set(spec)]
     header = [f"x{k}" for k in range(1, spec.d + 1)]
     return {"uSize": len(u), "vertices": u}, [header, *u], 0

@@ -21,11 +21,18 @@ from .grid import GridSpec, count_edges, enumerate_edges
 # it, and building and closing it peaked at 922 MiB; the K 10^3/t=4/r=2 build
 # (1,323,000 edges) took 1,140 MiB (Python 3.11, 2 shared cores).  The same
 # limit holds for the edges of a weak saturation hypergraph and of a grid
-# graph.
+# graph, and for the edges a certificate walks.
 MAX_HYPERGRAPH_EDGES = 10**6
-# The most vertices a hypergraph or grid graph may have: each vertex gets an
-# incidence list, and P 2^24/t=2/r=24, one edge, would get 2^24 of them.
+# The most vertices a hypergraph or grid graph may have, or ``extremal`` may
+# list: each vertex gets an incidence list, and P 2^24/t=2/r=24, one edge,
+# would get 2^24 of them.
 MAX_HYPERGRAPH_VERTICES = 10**6
+# The most bits the masks of an exhaustive search may hold: one |V|-bit mask
+# per edge and one per vertex of each symmetry image, |V|·(|E| + |images|·|V|)
+# bits in all.  The largest documented search, rneighbour --grid 20,20 --r 2
+# --exhaustive, counts 784,000; minperc --d 3 --n 40 --t 5 --r 2 --family P
+# --exhaustive counts 3.0·10^10 and ran out of a 1 GB address space.
+MAX_SEARCH_BITS = 10**9
 
 
 class Hypergraph:
@@ -142,8 +149,9 @@ def percolates(h: Hypergraph, initial) -> bool:
 
 
 class HypergraphTooLarge(RuntimeError):
-    """A hypergraph or graph would have more than MAX_HYPERGRAPH_EDGES edges
-    or more than MAX_HYPERGRAPH_VERTICES vertices."""
+    """A hypergraph would have more than MAX_HYPERGRAPH_EDGES edges or a
+    hypergraph or listed set more than MAX_HYPERGRAPH_VERTICES vertices, or
+    the masks of an exhaustive search more than MAX_SEARCH_BITS bits."""
 
 
 def check_size(owner: str, vertices: int, edges: int = 0) -> None:
@@ -160,6 +168,14 @@ def check_edge_count(count: int, family: str) -> None:
     """Raise HypergraphTooLarge if ``count`` edges of ``family`` are more
     than MAX_HYPERGRAPH_EDGES."""
     check_size(f"the {family} family", 0, count)
+
+
+def check_search_bits(owner: str, bits: int) -> None:
+    """Raise HypergraphTooLarge, naming ``owner``, if ``bits`` of search
+    masks are over MAX_SEARCH_BITS.  Searches and image builders call it with
+    closed-form counts before they allocate."""
+    if bits > MAX_SEARCH_BITS:
+        raise HypergraphTooLarge(f"{owner} would hold {bits} bits, over the limit of {MAX_SEARCH_BITS}")
 
 
 def grid_hypergraph(spec: GridSpec, family: str) -> Hypergraph:
@@ -204,8 +220,11 @@ def weak_saturation_images(n: int) -> list[tuple[int, ...]]:
     vertices, acting on the pair ids of weak_saturation_hypergraph(n, k).
 
     Entry p of an image is the id pair p maps to; each image maps the
-    hyperedges of every k onto themselves.
+    hyperedges of every k onto themselves.  An exhaustive search holds each
+    entry as a C(n,2)-bit mask, so when those (n - 1)·C(n,2)^2 bits are over
+    MAX_SEARCH_BITS, HypergraphTooLarge is raised before any id is built.
     """
+    check_search_bits(f"the search masks of the n={n} weak saturation images", (n - 1) * math.comb(n, 2) ** 2)
     pairs = list(itertools.combinations(range(n), 2))
     pair_id = {p: i for i, p in enumerate(pairs)}
     images = []

@@ -1,8 +1,9 @@
 """Independent search oracles.
 
 Exhaustive minimum percolating sets, and r-neighbour bootstrap percolation
-on graphs with a randomized greedy upper bound.  Exceeding the search budget
-raises, it never degrades to an approximate answer.
+with a randomized greedy upper bound, on a Hypergraph read as a simple
+graph (see _neighbours).  Exceeding the search budget raises, it never
+degrades to an approximate answer.
 
 The searches and the greedy bound run on int bitmasks of infected
 vertices.  Each process gives one ``spread(state, v)``: from a closed state,
@@ -30,17 +31,16 @@ earlier candidate C - x + y of the same size.  For x in closure(P), y is
 any free vertex below x outside P; there is none when P holds every free
 vertex below x, so that one vertex is never skipped.
 
-A caller may also pass images: automorphisms of the hypergraph or graph,
-each checked before any search work to permute the vertex ids and to map
-the edge set (for a graph, its adjacent pairs), and so the forced vertices,
-onto itself.  A candidate whose prefix an image maps to a same-size set that
-comes earlier in the scan is skipped, its subtree counted at once.  The
-first percolating set S* is never skipped: an image g(S*) percolates too,
-so g(S*) cannot come before S*.  Any set of automorphisms gives the answers
-of the plain scan; the CLI passes generators (grid.axis_images for a grid
-graph, grid.family_images for a grid family, whose K images include the
-adjacent value transpositions of each axis, and
-percolation.weak_saturation_images).
+A caller may also pass images: automorphisms of the hypergraph, each
+checked before any search work to permute the vertex ids and to map the
+edge set, and so the forced vertices, onto itself.  A candidate whose
+prefix an image maps to a same-size set that comes earlier in the scan is
+skipped, its subtree counted at once.  The first percolating set S* is
+never skipped: an image g(S*) percolates too, so g(S*) cannot come before
+S*.  Any set of automorphisms gives the answers of the plain scan; the CLI
+passes generators (grid.axis_images for a grid graph, grid.family_images
+for a grid family, whose K images include the adjacent value transpositions
+of each axis, and percolation.weak_saturation_images).
 
 The r-neighbour search also prunes by a potential.  Let psi(S) = r|S| -
 e(S), with e(S) the edges with both ends in S.  Infecting a vertex with
@@ -74,11 +74,10 @@ import functools
 import math
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .grid import GridSpec, count_edges, enumerate_edges
-from .percolation import Hypergraph, check_size
+from .percolation import Hypergraph, check_search_bits, check_size
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -215,9 +214,13 @@ def _first_at_size(free, spread, start, full, size, limit, images, doomed):
 def _image_bits(images, num_vertices, edges):
     # Each image g as the list of bits 1 << g(v) per vertex v, once it is
     # checked to permute the ids and to map the edge set ``edges`` (sorted id
-    # tuples; a graph's adjacent pairs) onto itself.  A permutation of a
-    # simple graph keeps adjacency iff it does that.  Such a g keeps the
-    # covered vertices, or every degree, and so the forced vertices.
+    # tuples) onto itself.  A permutation of a simple graph keeps adjacency
+    # iff it does that.  Such a g keeps the covered vertices, or every
+    # degree, and so the forced vertices.  First the search's masks are
+    # counted: one |V|-bit mask per edge (the r-neighbour spread and
+    # potential keep two per vertex) and per vertex of each image.
+    images = list(images)
+    check_search_bits("the search masks", num_vertices * (len(edges) + len(images) * num_vertices))
     edges = set(edges)
     ids = list(range(num_vertices))
     checked = []
@@ -291,9 +294,11 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images
     set percolates), with the witness and ``tested`` of a plain scan of the
     candidates in ascending size, then lexicographic order; raises
     SearchBudgetExceeded when that scan would pass ``budget`` candidate sets,
-    and ValueError for a negative ``budget``.  The sizes are searched
-    downward from the largest the budget reaches, so only the size below
-    the minimum is walked in full.
+    ValueError for a negative ``budget``, and HypergraphTooLarge, before any
+    mask is built, when the masks would hold more than
+    percolation.MAX_SEARCH_BITS bits, |V|·(|E| + |images|·|V|).  The sizes
+    are searched downward from the largest the budget reaches, so only the
+    size below the minimum is walked in full.
 
     ``images`` are automorphisms of h, each a sequence whose entry v is the
     id vertex v maps to (``grid.family_images`` for a grid family,
@@ -311,56 +316,30 @@ def min_percolating_exact(h: Hypergraph, *, budget: int = DEFAULT_BUDGET, images
     return _min_subset_search(h.num_vertices, spread, start, mandatory, budget, images, None)
 
 
-class Graph:
-    """Undirected simple graph: vertex count plus sorted adjacency tuples."""
-
-    __slots__ = ("num_vertices", "adj")
-
-    def __init__(self, num_vertices: int, edges) -> None:
-        if num_vertices < 0:
-            raise ValueError(f"negative vertex count {num_vertices}")
-        neighbours = [set() for _ in range(num_vertices)]
-        for u, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge ({u}, {v}) outside [0, {num_vertices})")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        self.num_vertices = num_vertices
-        self.adj = tuple(tuple(sorted(ns)) for ns in neighbours)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(ns) for ns in self.adj) // 2
-
-    def __repr__(self) -> str:
-        return f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges})"
-
-
-def grid_graph(dims) -> Graph:
-    """Axis-aligned grid graph on [n_1] x ... x [n_d].
+def grid_graph(dims) -> Hypergraph:
+    """Axis-aligned grid graph on [n_1] x ... x [n_d], as a hypergraph of
+    2-vertex edges.
 
     Vertices are the codec's row-major ids of the 1-based coordinate tuples;
     two are adjacent iff their tuples differ by exactly 1 in one axis.  The
     edges are the "P" family with thickness 2 and copy rank 1 on the axes
-    longer than 1 (an axis of length 1 holds no edge and moves no id).
-    More than MAX_HYPERGRAPH_VERTICES vertices, or MAX_HYPERGRAPH_EDGES
-    edges by the closed-form count_edges, raise HypergraphTooLarge before
-    any is built.
+    longer than 1 (an axis of length 1 holds no edge and moves no id), in
+    its walk order.  More than MAX_HYPERGRAPH_VERTICES vertices, or
+    MAX_HYPERGRAPH_EDGES edges by the closed-form count_edges, raise
+    HypergraphTooLarge before any is built.
     """
     dims = tuple(operator.index(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"axis lengths must be >= 1, got {dims}")
     long = tuple(n for n in dims if n > 1)
     if not long:
-        return Graph(1, ())
+        return Hypergraph(1, ())
     spec = GridSpec(long, (2,) * len(long), 1)
     check_size("the grid graph", spec.num_vertices, count_edges(spec, "P"))
-    return Graph(spec.num_vertices, (ids for *_, ids in enumerate_edges(spec, "P")))
+    return Hypergraph(spec.num_vertices, (ids for *_, ids in enumerate_edges(spec, "P")))
 
 
-def hypercube_graph(d: int) -> Graph:
+def hypercube_graph(d: int) -> Hypergraph:
     """d-dimensional hypercube: grid_graph((2,) * d), the "P" family with
     thickness 2 and copy rank 1; ids 0..2^d - 1, adjacent iff one bit differs."""
     if d < 1:
@@ -368,24 +347,39 @@ def hypercube_graph(d: int) -> Graph:
     return grid_graph((2,) * d)
 
 
-def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
-    """Closure under: a vertex with at least r infected neighbours is infected."""
+def _neighbours(h: Hypergraph) -> list[tuple[int, ...]]:
+    """Each vertex's sorted neighbours in h read as a simple graph: a
+    repeated edge counts once.  An edge that does not have exactly two
+    vertices raises ValueError."""
+    neighbours = [set() for _ in range(h.num_vertices)]
+    for e in h.edges:
+        if len(e) != 2:
+            raise ValueError(f"edge {list(e)} does not have exactly two vertices")
+        u, w = e
+        neighbours[u].add(w)
+        neighbours[w].add(u)
+    return [tuple(sorted(ns)) for ns in neighbours]
+
+
+def r_neighbour_closure(h: Hypergraph, initial, r: int) -> frozenset[int]:
+    """Closure under: a vertex with at least r infected neighbours is
+    infected, on h read as a simple graph (see _neighbours)."""
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    infected = bytearray(g.num_vertices)
-    queue: deque[int] = deque()
+    neighbours = _neighbours(h)
+    infected = bytearray(h.num_vertices)
+    queue = []
     for v in initial:
         v = operator.index(v)
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"vertex {v} outside [0, {g.num_vertices})")
+        if not 0 <= v < h.num_vertices:
+            raise ValueError(f"vertex {v} outside [0, {h.num_vertices})")
         if not infected[v]:
             infected[v] = 1
             queue.append(v)
-    counts = [0] * g.num_vertices
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
+    counts = [0] * h.num_vertices
+    for u in queue:  # the queue grows while it is read, in infection order
+        for w in neighbours[u]:
             if not infected[w]:
                 counts[w] += 1
                 if counts[w] >= r:
@@ -394,9 +388,10 @@ def r_neighbour_closure(g: Graph, initial, r: int) -> frozenset[int]:
     return frozenset(i for i, flag in enumerate(infected) if flag)
 
 
-def _neighbour_spread(g: Graph, r: int):
-    """spread(state, v) for r-neighbour bootstrap on g."""
-    neighbour_masks = [_mask(ns) for ns in g.adj]
+def _neighbour_spread(neighbours, r: int):
+    """spread(state, v) for r-neighbour bootstrap on the simple graph whose
+    vertex v has the sorted neighbours ``neighbours[v]``."""
+    neighbour_masks = [_mask(ns) for ns in neighbours]
 
     def spread(state: int, v: int) -> int:
         if state >> v & 1:
@@ -404,7 +399,7 @@ def _neighbour_spread(g: Graph, r: int):
         state |= 1 << v
         todo = [v]
         while todo:
-            for w in g.adj[todo.pop()]:
+            for w in neighbours[todo.pop()]:
                 if not state >> w & 1 and (neighbour_masks[w] & state).bit_count() >= r:
                     state |= 1 << w
                     todo.append(w)
@@ -413,13 +408,13 @@ def _neighbour_spread(g: Graph, r: int):
     return spread
 
 
-def _potential_test(g: Graph, r: int):
-    """doomed(state, k) for r-neighbour bootstrap on g: true when the
-    potential r|S| - e(S) of the closed state S, plus r per pick still to
-    make, falls short of the full vertex set's r|V| - |E| (see the module
-    docstring)."""
-    neighbour_masks = [_mask(ns) for ns in g.adj]
-    target = r * g.num_vertices - g.num_edges
+def _potential_test(neighbours, r: int):
+    """doomed(state, k) for r-neighbour bootstrap on the simple graph of
+    ``neighbours``: true when the potential r|S| - e(S) of the closed state
+    S, plus r per pick still to make, falls short of the full vertex set's
+    r|V| - |E| (see the module docstring)."""
+    neighbour_masks = [_mask(ns) for ns in neighbours]
+    target = r * len(neighbours) - sum(map(len, neighbours)) // 2
 
     def doomed(state: int, k: int) -> bool:
         ends = 0  # twice e(S): each edge inside S counted from both ends
@@ -434,31 +429,32 @@ def _potential_test(g: Graph, r: int):
 
 
 def min_r_neighbour_percolating(
-    g: Graph, r: int, *, budget: int = DEFAULT_BUDGET, images=()
+    h: Hypergraph, r: int, *, budget: int = DEFAULT_BUDGET, images=()
 ) -> SearchResult:
-    """Exhaustive minimum percolating set for the r-neighbour process.
+    """Exhaustive minimum percolating set for the r-neighbour process on h
+    read as a simple graph (see _neighbours).
 
-    Same enumeration scheme, errors and ``images`` as min_percolating_exact,
-    each image checked to map the edge set, the adjacent pairs (u, w) with
-    u < w, onto itself (``grid.axis_images`` of the dims for a grid graph,
-    of (2,) * d for the d-cube); vertices of degree < r can never be
-    infected, so they are forced into every candidate.  Prefixes are also
-    pruned by the potential r|S| - e(S) (see the module docstring), which
-    changes no result.
+    Same enumeration scheme, errors and ``images`` as min_percolating_exact
+    (``grid.axis_images`` of the dims for a grid graph, of (2,) * d for the
+    d-cube); vertices of degree < r can never be infected, so they are
+    forced into every candidate.  Prefixes are also pruned by the potential
+    r|S| - e(S) (see the module docstring), which changes no result.
     """
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
-    images = _image_bits(images, g.num_vertices, ((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w))
-    spread = _neighbour_spread(g, r)
+    neighbours = _neighbours(h)
+    mandatory = [v for v, ns in enumerate(neighbours) if len(ns) < r]
+    images = _image_bits(images, h.num_vertices, h.edges)
+    spread = _neighbour_spread(neighbours, r)
     start = functools.reduce(spread, mandatory, 0)  # for r >= 1 the empty state is closed
-    return _min_subset_search(g.num_vertices, spread, start, mandatory, budget, images, _potential_test(g, r))
+    return _min_subset_search(h.num_vertices, spread, start, mandatory, budget, images, _potential_test(neighbours, r))
 
 
-def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:
-    """Percolating set of the r-neighbour process found by randomized greedy
-    deletion from the full set.
+def greedy_r_neighbour_upper_bound(h: Hypergraph, r: int, trials: int = 1, seed: int = 0) -> frozenset[int]:
+    """Percolating set of the r-neighbour process on h read as a simple
+    graph (see _neighbours), found by randomized greedy deletion from the
+    full set.
 
     Each trial scans the vertices in a shuffled order and drops any whose
     removal keeps the set percolating.  One pass per trial suffices: removals
@@ -473,8 +469,8 @@ def greedy_r_neighbour_upper_bound(g: Graph, r: int, trials: int = 1, seed: int 
         raise ValueError(f"trials must be >= 1, got {trials}")
     # For r >= 1 the empty state 0 is closed, so a candidate percolates iff
     # folding spread over it from 0 reaches every vertex.
-    spread = _neighbour_spread(g, r)
-    n = g.num_vertices
+    spread = _neighbour_spread(_neighbours(h), r)
+    n = h.num_vertices
     full = (1 << n) - 1
     rng = random.Random(seed)
     best = frozenset(range(n))

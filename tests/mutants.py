@@ -318,6 +318,54 @@ MUTANTS = [
             "tests/test_certificate.py::TestProjectionComponent::test_bad_axes_rejected[repeated]",
         ],
     ),
+    (
+        "r-neighbour graph drops its two-vertex check",
+        SEARCH,
+        "        if len(e) != 2:\n",
+        "        if False:\n",
+        [
+            "tests/test_search.py::test_r_neighbour_edges_have_two_vertices[one-vertex-closure]",
+            "tests/test_search.py::test_r_neighbour_edges_have_two_vertices[three-vertex-exhaustive]",
+            "tests/test_search.py::test_r_neighbour_edges_have_two_vertices[three-vertex-greedy]",
+            "tests/test_search.py::TestGraphs::test_validation",
+        ],
+    ),
+    (
+        # The potential reads |E| from the neighbour lists, so a repeated edge
+        # can only be counted twice there by lists that keep it twice.
+        "repeated edge counted twice in the neighbour lists and the potential's |E|",
+        SEARCH,
+        "        neighbours[u].add(w)\n        neighbours[w].add(u)\n    return [tuple(sorted(ns)) for ns in neighbours]",
+        "        neighbours[u].add(w)\n        neighbours[w].add(u)\n"
+        "    return [tuple(sorted(w for e in h.edges if v in e for w in e if w != v)) for v in range(h.num_vertices)]",
+        [
+            "tests/test_search.py::TestRepeatedEdges::test_potential",
+            "tests/test_search.py::TestRepeatedEdges::test_closure",
+            "tests/test_search.py::TestRepeatedEdges::test_search",
+        ],
+    ),
+    (
+        "certify edge walk guard disabled",
+        CERT,
+        "    check_edge_count(count_edges(spec, family), family)\n",
+        "",
+        [
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_built[certify-K]",
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_built[certify-P]",
+            "tests/test_cli.py::TestHypergraphGuard::test_vertices_at_the_real_limit",
+        ],
+    ),
+    (
+        "search mask guard disabled",
+        SEARCH,
+        '    check_search_bits("the search masks", ',
+        '    (lambda *args: None)("the search masks", ',
+        [
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[rneighbour]",
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[minperc]",
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[wsat]",
+        ],
+    ),
 ]
 
 

@@ -20,8 +20,7 @@ from collections import deque
 
 from gridperc.exact import dependency_coeffs
 from gridperc.grid import decode_vertex, encode_vertex, enumerate_edges, row_major_strides, vertices
-from gridperc.percolation import ClosureResult
-from gridperc.search import Graph
+from gridperc.percolation import ClosureResult, Hypergraph
 
 
 class ReferenceBasis:
@@ -109,7 +108,16 @@ def reference_closure(h, initial) -> ClosureResult:
     return ClosureResult(frozenset(init), final, tuple(trace))
 
 
-def reference_grid_graph(dims) -> Graph:
+def reference_neighbours(h) -> list[tuple[int, ...]]:
+    """Each vertex's sorted neighbours in h read as a simple graph, by a scan
+    of every pair: w is a neighbour of v iff {v, w} is an edge."""
+    edges = set(h.edges)
+    return [
+        tuple(w for w in range(h.num_vertices) if (min(v, w), max(v, w)) in edges) for v in range(h.num_vertices)
+    ]
+
+
+def reference_grid_graph(dims) -> Hypergraph:
     """Grid graph on [n_1] x ... x [n_d] built by a coordinate loop: each
     vertex links to the next one along every axis, one stride further."""
     strides = row_major_strides(dims)
@@ -119,19 +127,20 @@ def reference_grid_graph(dims) -> Graph:
         for x, n, s in zip(coords, dims, strides):
             if x < n:
                 edges.append((vid, vid + s))
-    return Graph(math.prod(dims), edges)
+    return Hypergraph(math.prod(dims), edges)
 
 
-def reference_hypercube_graph(d) -> Graph:
+def reference_hypercube_graph(d) -> Hypergraph:
     """d-cube on ids 0..2^d - 1, each id linked to every id one bit flip away."""
     edges = [(b, b | (1 << i)) for b in range(1 << d) for i in range(d) if not b & (1 << i)]
-    return Graph(1 << d, edges)
+    return Hypergraph(1 << d, edges)
 
 
 def reference_keeps_adjacency(g, image) -> bool:
     """True iff the permutation ``image`` of g's ids sends each vertex's
     neighbours to the neighbours of its image."""
-    return all(tuple(sorted(image[w] for w in ws)) == g.adj[image[u]] for u, ws in enumerate(g.adj))
+    adj = reference_neighbours(g)
+    return all(tuple(sorted(image[w] for w in ws)) == adj[image[u]] for u, ws in enumerate(adj))
 
 
 def in_span(basis, vector) -> bool:

@@ -562,7 +562,12 @@ class TestHypergraphGuard:
         (["rneighbour", "--grid", "3,3", "--r", "2"], 0, "the grid graph", "vertices", 9),
         (["rneighbour", "--grid", "3,1,3", "--r", "2"], 0, "the grid graph", "edges", 12),
         (["rneighbour", "--hypercube", "3", "--r", "2"], 0, "the grid graph", "edges", 12),
-    ], ids=["closure", "minperc", "wsat-vertices", "wsat-edges", "grid-vertices", "grid-edges", "hypercube"])
+        # 3^2/t=2/r=1 has 18 K edges and 12 P edges, and 3^2/t=2/r=2 five extremal vertices.
+        (["certify", "--d", "2", "--r", "1", "--n", "3", "--t", "2"], 0, "the K family", "edges", 18),
+        (["certify", "--d", "2", "--r", "1", "--n", "3", "--t", "2", "--family", "P"], 0, "the P family", "edges", 12),
+        (["extremal", "--d", "2", "--r", "2", "--n", "3", "--t", "2"], 0, "the extremal set", "vertices", 5),
+    ], ids=["closure", "minperc", "wsat-vertices", "wsat-edges", "grid-vertices", "grid-edges", "hypercube",
+            "certify-K", "certify-P", "extremal"])
     def test_limit_is_the_most_built(self, capsys, monkeypatch, argv, code, owner, unit, count):
         limit = "MAX_HYPERGRAPH_VERTICES" if unit == "vertices" else "MAX_HYPERGRAPH_EDGES"
         monkeypatch.setattr(percolation, limit, count)
@@ -594,7 +599,9 @@ class TestHypergraphGuard:
             raise AssertionError("a structure over the limit was built")
 
         monkeypatch.setattr(percolation, "Hypergraph", forbidden)
-        monkeypatch.setattr(search, "Graph", forbidden)
+        monkeypatch.setattr(search, "Hypergraph", forbidden)
+        monkeypatch.setattr(certificate, "build_context", forbidden)
+        monkeypatch.setattr(cli, "extremal_set", forbidden)
         path = tmp_path / "h.txt"
         path.write_text("p 3000000000 0\n")
         for argv, message in [
@@ -605,11 +612,34 @@ class TestHypergraphGuard:
             (["closure", "--input", str(path), "--infected", "0"], "the hypergraph has 3000000000 vertices"),
             (["rneighbour", "--hypercube", "40", "--r", "2"], "the grid graph has 21990232555520 edges"),
             (["rneighbour", "--grid", "100000,100000", "--r", "2"], "the grid graph has 19999800000 edges"),
+            (["certify", "--d", "3", "--n", "10", "--t", "4", "--r", "2"], "the K family has 1323000 edges"),
+            (["certify", "--n", "3000", "--t", "2", "--r", "1", "--d", "1"], "the K family has 4498500 edges"),
+            (["certify", "--d", "2", "--n", "200", "--t", "3", "--r", "1"], "the K family has 525360000 edges"),
+            (["extremal", "--n", "3", "--t", "2", "--r", "13", "--d", "13"], "the extremal set has 1586131 vertices"),
         ]:
             assert main(argv) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {message}, over the limit of 1000000\n"
+
+    @pytest.mark.parametrize("argv, bits", [
+        # |V|·(|E| + |images|·|V|): 3 axis images of each 3 x 3 grid.
+        (["rneighbour", "--grid", "3,3", "--r", "2", "--exhaustive"], 9 * (12 + 3 * 9)),
+        (["minperc", "--exhaustive", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", "P"], 9 * (4 + 3 * 9)),
+        # Over the 400 bits of its 4 images' masks.
+        (["wsat", "--n", "5", "--k", "3"], 10 * (10 + 4 * 10)),
+    ], ids=["rneighbour", "minperc", "wsat"])
+    def test_limit_is_the_most_search_bits(self, capsys, monkeypatch, argv, bits):
+        monkeypatch.setattr(percolation, "MAX_SEARCH_BITS", bits)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(percolation, "MAX_SEARCH_BITS", bits - 1)
+        for name in ("_edge_spread", "_neighbour_spread"):
+            monkeypatch.setattr(search, name, lambda *args: pytest.fail("a mask was built"))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the search masks would hold {bits} bits, over the limit of {bits - 1}\n"
 
 
 class TestSweep:

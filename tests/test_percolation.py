@@ -18,6 +18,7 @@ from gridperc.grid import (
 )
 from gridperc.percolation import (
     Hypergraph,
+    HypergraphTooLarge,
     canonical_edges,
     closure,
     grid_hypergraph,
@@ -300,6 +301,21 @@ class TestWeakSaturation:
             for p, q in zip(pairs, image):
                 assert pairs[q] == tuple(sorted(swap.get(a, a) for a in p))
             assert {tuple(sorted(image[v] for v in e)) for e in edges} == edges
+
+    def test_images_are_sized_by_their_search_masks(self, monkeypatch):
+        # n - 1 images of C(n,2) ids, each id a C(n,2)-bit mask in a search.
+        assert len(weak_saturation_images(83)) == 82  # 949,593,538 bits
+        with pytest.raises(
+            HypergraphTooLarge,
+            match="the search masks of the n=84 weak saturation images would hold 1008632268 bits,"
+            " over the limit of 1000000000",
+        ):
+            weak_saturation_images(84)
+        monkeypatch.setattr(percolation, "MAX_SEARCH_BITS", 400)
+        assert len(weak_saturation_images(5)) == 4
+        monkeypatch.setattr(percolation, "MAX_SEARCH_BITS", 399)
+        with pytest.raises(HypergraphTooLarge, match="would hold 400 bits, over the limit of 399"):
+            weak_saturation_images(5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

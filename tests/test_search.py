@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridperc import cli, percolation, search
@@ -20,7 +20,6 @@ from gridperc.percolation import (
 )
 from gridperc.search import (
     DEFAULT_BUDGET,
-    Graph,
     SearchBudgetExceeded,
     SearchResult,
     greedy_r_neighbour_upper_bound,
@@ -30,15 +29,16 @@ from gridperc.search import (
     min_r_neighbour_percolating,
     r_neighbour_closure,
 )
-from oracles import reference_grid_graph, reference_hypercube_graph, reference_keeps_adjacency
+from oracles import reference_grid_graph, reference_hypercube_graph, reference_keeps_adjacency, reference_neighbours
 
 
 def reachable_from(g, sources):
+    adj = reference_neighbours(g)
     seen = set(sources)
     queue = deque(sources)
     while queue:
         u = queue.popleft()
-        for w in g.adj[u]:
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -54,10 +54,15 @@ def hypergraphs(draw, max_vertices=7, max_edges=8):
 
 @st.composite
 def graphs(draw, max_vertices=8, max_edges=14):
+    """A hypergraph of 2-vertex edges, which may repeat."""
     nv = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(nv), 2))
     edges = draw(st.lists(st.sampled_from(pairs), max_size=max_edges)) if pairs else []
-    return Graph(nv, edges)
+    return Hypergraph(nv, edges)
+
+
+def deduplicated(h):
+    return Hypergraph(h.num_vertices, sorted(set(h.edges)))
 
 
 def plain_scan(num_vertices, percolates_fn, mandatory, budget):
@@ -101,7 +106,7 @@ def hypergraph_oracle(h):
 
 
 def graph_oracle(g, r):
-    mandatory = [v for v in range(g.num_vertices) if len(g.adj[v]) < r]
+    mandatory = [v for v, ns in enumerate(reference_neighbours(g)) if len(ns) < r]
     return mandatory, lambda cand: len(r_neighbour_closure(g, cand, r)) == g.num_vertices
 
 
@@ -144,8 +149,9 @@ def hypergraph_size_search(h, images=()):
 def graph_size_search(g, r, images=()):
     mandatory, _ = graph_oracle(g, r)
     start = search._mask(r_neighbour_closure(g, mandatory, r))
-    spread = search._neighbour_spread(g, r)
-    return size_search(g.num_vertices, spread, start, mandatory, images, search._potential_test(g, r))
+    neighbours = search._neighbours(g)
+    spread = search._neighbour_spread(neighbours, r)
+    return size_search(g.num_vertices, spread, start, mandatory, images, search._potential_test(neighbours, r))
 
 
 @st.composite
@@ -224,9 +230,9 @@ def naive_minimum(h):
 
 
 def potential(g, r, vertices):
-    """r|S| - e(S), with e(S) the edges of g that have both ends in S."""
+    """r|S| - e(S), with e(S) the distinct edges of g that have both ends in S."""
     inside = set(vertices)
-    return r * len(inside) - sum(1 for u in inside for w in g.adj[u] if u < w and w in inside)
+    return r * len(inside) - sum(1 for u, w in set(g.edges) if u in inside and w in inside)
 
 
 class TestMinPercolatingExact:
@@ -288,35 +294,50 @@ class TestMinPercolatingExact:
         assert res.minimum == naive_minimum(h)
 
 
+def edge_set(h):
+    """The vertex count and the sorted edges, so that two builders that list
+    the same edges in another order compare equal."""
+    return h.num_vertices, sorted(h.edges)
+
+
 class TestGraphs:
     def test_grid_counts(self):
         g = grid_graph((3, 3))
         assert g.num_vertices == 9
-        assert g.num_edges == 12
+        assert len(g.edges) == 12
 
     def test_hypercube_counts(self):
         g = hypercube_graph(3)
         assert g.num_vertices == 8
-        assert g.num_edges == 12
+        assert len(g.edges) == 12
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_two_sided_grid_is_hypercube(self, d):
-        assert grid_graph((2,) * d).adj == hypercube_graph(d).adj
+        assert edge_set(grid_graph((2,) * d)) == edge_set(hypercube_graph(d))
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     def test_grid_matches_the_stride_builder(self, dims):
         # Axes of length 1 included, down to the edgeless all-ones grid.
-        assert grid_graph(dims).adj == reference_grid_graph(dims).adj
+        assert edge_set(grid_graph(dims)) == edge_set(reference_grid_graph(dims))
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(lambda dims: max(dims) > 1))
+    def test_grid_is_the_p_family_of_its_long_axes(self, dims):
+        long = tuple(n for n in dims if n > 1)
+        p_family = grid_hypergraph(GridSpec(long, (2,) * len(long), 1), "P")
+        assert grid_graph(dims).edges == p_family.edges
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_hypercube_matches_the_bit_flip_builder(self, d):
-        assert hypercube_graph(d).adj == reference_hypercube_graph(d).adj
+        assert edge_set(hypercube_graph(d)) == edge_set(reference_hypercube_graph(d))
 
     def test_validation(self):
+        # A self-loop becomes a 1-vertex edge, which the r-neighbour process
+        # refuses; an id out of range never reaches a hypergraph.
+        loop = Hypergraph(3, canonical_edges(3, [(0, 0)]))
+        with pytest.raises(ValueError, match=r"edge \[0\] does not have exactly two vertices"):
+            r_neighbour_closure(loop, [0], 1)
         with pytest.raises(ValueError):
-            Graph(3, [(0, 0)])
-        with pytest.raises(ValueError):
-            Graph(3, [(0, 3)])
+            canonical_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             grid_graph(())
         with pytest.raises(ValueError):
@@ -340,7 +361,7 @@ class TestRNeighbourClosure:
                 u, v = rng.sample(range(nv), 2) if nv > 1 else (0, 0)
                 if u != v:
                     edges.add((min(u, v), max(u, v)))
-            g = Graph(nv, edges)
+            g = Hypergraph(nv, sorted(edges))
             sources = rng.sample(range(nv), rng.randint(0, nv))
             assert r_neighbour_closure(g, sources, 1) == reachable_from(g, sources)
 
@@ -387,7 +408,7 @@ class TestMinRNeighbour:
 
     def test_low_degree_vertices_are_mandatory(self):
         # path graph with r=2: both endpoints have degree 1
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
         res = min_r_neighbour_percolating(g, 2)
         assert set(res.witness) >= {0, 3}
 
@@ -421,6 +442,47 @@ def test_float_threshold_or_budget_is_rejected(search, args, kwargs):
         search(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda h: r_neighbour_closure(h, [0], 1),
+        lambda h: min_r_neighbour_percolating(h, 1),
+        lambda h: greedy_r_neighbour_upper_bound(h, 1),
+    ],
+    ids=["closure", "exhaustive", "greedy"],
+)
+@pytest.mark.parametrize("edges", [[(0,), (1, 2)], [(0, 1), (0, 1, 2)]], ids=["one-vertex", "three-vertex"])
+def test_r_neighbour_edges_have_two_vertices(run, edges):
+    with pytest.raises(ValueError, match="does not have exactly two vertices"):
+        run(Hypergraph(3, edges))
+
+
+class TestRepeatedEdges:
+    """The r-neighbour process reads a hypergraph as a simple graph: a
+    repeated edge counts once, so h and its de-duplicated copy agree."""
+
+    REPEATED = Hypergraph(3, [(0, 1), (0, 1), (1, 2)])
+
+    @given(graphs(), st.integers(1, 3), st.sets(st.integers(0, 7)))
+    @example(REPEATED, 2, {0})
+    def test_closure(self, h, r, initial):
+        initial = {v for v in initial if v < h.num_vertices}
+        assert r_neighbour_closure(h, initial, r) == r_neighbour_closure(deduplicated(h), initial, r)
+
+    @given(graphs(), st.integers(1, 3))
+    @example(REPEATED, 2)
+    def test_search(self, h, r):
+        assert min_r_neighbour_percolating(h, r) == min_r_neighbour_percolating(deduplicated(h), r)
+
+    @given(graphs(), st.integers(1, 3), st.sets(st.integers(0, 7)), st.integers(0, 8))
+    @example(REPEATED, 1, set(), 0)
+    def test_potential(self, h, r, initial, k):
+        simple = deduplicated(h)
+        state = search._mask(r_neighbour_closure(simple, {v for v in initial if v < h.num_vertices}, r))
+        doomed, simple_doomed = (search._potential_test(search._neighbours(g), r) for g in (h, simple))
+        assert doomed(state, k) == simple_doomed(state, k)
+
+
 class TestPotential:
     """The facts behind the r-neighbour prefix test: infecting a vertex with
     at least r infected neighbours never raises r|S| - e(S), and adding any
@@ -428,6 +490,7 @@ class TestPotential:
 
     @given(graphs(), st.integers(1, 3), st.data())
     def test_never_rises_along_the_closure(self, g, r, data):
+        adj = reference_neighbours(g)
         infected = data.draw(st.sets(st.integers(0, g.num_vertices - 1)), label="initial")
         for x in range(g.num_vertices):
             assert potential(g, r, infected | {x}) <= potential(g, r, infected) + r
@@ -436,7 +499,7 @@ class TestPotential:
             ready = [
                 v
                 for v in range(g.num_vertices)
-                if v not in infected and sum(w in infected for w in g.adj[v]) >= r
+                if v not in infected and sum(w in infected for w in adj[v]) >= r
             ]
             if not ready:
                 break
@@ -450,8 +513,8 @@ class TestPotential:
         nv = g.num_vertices
         state = r_neighbour_closure(g, data.draw(st.sets(st.integers(0, nv - 1)), label="initial"), r)
         k = data.draw(st.integers(0, nv), label="picks")
-        doomed = search._potential_test(g, r)(search._mask(state), k)
-        assert doomed == (potential(g, r, state) + r * k < r * nv - g.num_edges)
+        doomed = search._potential_test(search._neighbours(g), r)(search._mask(state), k)
+        assert doomed == (potential(g, r, state) + r * k < r * nv - len(set(g.edges)))
         if doomed:
             for extra in itertools.combinations(range(nv), k):
                 assert len(r_neighbour_closure(g, state | set(extra), r)) < nv
@@ -549,7 +612,7 @@ class TestAgainstPlainScan:
             # 2 lies in no edge; the size-1 edge infects 0, which completes (0, 1).
             (Hypergraph(3, [(0,), (0, 1)]), None, SearchResult(1, (2,), 1)),
             # 0 and 1 have degree 1 < r; together they infect 2.
-            (Graph(3, [(0, 2), (1, 2)]), 2, SearchResult(2, (0, 1), 1)),
+            (Hypergraph(3, [(0, 2), (1, 2)]), 2, SearchResult(2, (0, 1), 1)),
         ],
         ids=["hypergraph", "graph"],
     )
@@ -624,8 +687,8 @@ def counted_spread_calls(monkeypatch):
     calls = []
     make_spread = search._neighbour_spread
 
-    def counting_spread(g, r):
-        spread = make_spread(g, r)
+    def counting_spread(neighbours, r):
+        spread = make_spread(neighbours, r)
 
         def counted(state, v):
             calls.append(v)
