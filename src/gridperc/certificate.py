@@ -168,9 +168,10 @@ class Certificate:
     The first audit that closes on a family builds that family's grid
     hypergraph and the certificate keeps it, so later audits closing on the
     family reuse it; a build is freed with its certificate, and a
-    ``dataclasses.replace`` copy starts without one.  An audit whose seeds
-    reach full rank closes on "P" first (see audit_percolating_set), so a
-    "K" audit of the extremal set builds "P" only.  Measured with
+    ``dataclasses.replace`` copy starts without one.  An audit of the
+    extremal set, or of any superset, is settled by the percolation proof
+    and closes nothing (see audit_percolating_set), so it builds neither
+    family.  Measured with
     ``tracemalloc``, the K build of 6^3/t=3/r=2 (7,200 edges) holds about
     1.5 MiB, and the K and P builds of 6^3/t=3/r=2 and 4^4/t=2/r=3 together
     hold 2.35 MiB.
@@ -294,20 +295,20 @@ def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditRepor
     """Replay a closure run from ``initial`` through the certificate algebra.
 
     ``initial`` is an iterable of vertex coordinate tuples.  The seeds'
-    vectors enter the basis before any closure runs.  Below full rank
-    (u_size), the closure runs on the hypergraph of the caller's ``family``;
-    if it percolates, the trace is walked in order, recording every step
-    whose vector enlarges the span of what came before.
+    vectors enter the basis before any closure runs.  Unless the proof below
+    settles the set, the closure then runs once, on the hypergraph of the
+    caller's ``family``; if it percolates, the trace is walked in order,
+    recording every step whose vector enlarges the span of what came before.
 
-    At full rank the closure runs on the "P" hypergraph, and on the "K" one
-    only when the caller's ``family`` is "K" and the set does not percolate
-    on "P".  The report is that of a closure on ``family``: every "P" edge is
-    a "K" edge, so a set that percolates on "P" percolates on "K"; a closure
-    that percolates has |V| - |seeds| steps on either family; and at full
-    rank no trace step is inserted, since each is in span, so no step is out
-    of span on either family.  So a "K" audit of the extremal set, or of any
-    superset, builds only the "P" hypergraph, which has n_k - t_k + 1 value
-    sets per varying axis where "K" has C(n_k, t_k).
+    A seed set that reaches full rank (u_size) and contains every extremal
+    vertex closes nothing: its report is fixed by proof.  The extremal set
+    percolates under "P" (see extremal_set), hence under "K", whose edges
+    include every "P" edge, and so does any superset of it; a closure that
+    percolates has |V| - |seeds| steps; and at full rank no trace step can
+    enlarge the span, so none is out of span.  Below full rank the closure
+    is the audit's independent check, so a set smaller than the extremal set
+    is never settled by the lower bound.  A full-rank set that lacks some
+    extremal vertex closes on ``family`` like any other.
 
     Every vector enters the basis with its entries reversed, and the seeds
     enter extremal vertices first, then the others, ids descending within
@@ -344,16 +345,14 @@ def audit_percolating_set(cert: Certificate, initial, family: str) -> AuditRepor
             break
         basis.insert(cert.f_vectors[a][::-1])
     seed_rank = basis.rank
+    if seed_rank == full and ctx.u_index.keys() <= set(seeds.values()):
+        return AuditReport(True, len(ids), full, full, spec.num_vertices - len(ids), ())
 
-    for closed_on in dict.fromkeys(("P", family) if seed_rank == full else (family,)):
-        hypergraph = cert._hypergraphs.get(closed_on)
-        if hypergraph is None:
-            hypergraph = cert._hypergraphs[closed_on] = grid_hypergraph(spec, closed_on)
-        result = closure(hypergraph, ids)
-        percolated = len(result.final) == spec.num_vertices
-        if percolated:
-            break
-
+    hypergraph = cert._hypergraphs.get(family)
+    if hypergraph is None:
+        hypergraph = cert._hypergraphs[family] = grid_hypergraph(spec, family)
+    result = closure(hypergraph, ids)
+    percolated = len(result.final) == spec.num_vertices
     trace = result.trace if percolated else ()
     grew = tuple(
         i for i, (v, _edge) in enumerate(trace) if basis.rank < full and basis.insert(cert.f_vectors[v][::-1])

@@ -15,8 +15,9 @@ to exit codes.
 
 A certificate depends on the spec only, and the family belongs to the
 caller: ``certify`` walks and prints --family, and ``audit`` reports
-percolation on it (closing on "P" first when the set's vectors reach full
-rank, see audit_percolating_set).  ``sweep``, certified ``minperc`` and
+percolation on it (an audit of the extremal set or of a superset is
+settled by the percolation proof and closes nothing, see
+audit_percolating_set).  ``sweep``, certified ``minperc`` and
 ``audit`` walk the "P" edges whatever --family says; by the interval lemma
 in ``certified_lower_bound`` that check covers the "K" edges too.
 """

@@ -460,17 +460,21 @@ def greedy_r_neighbour_upper_bound(h: Hypergraph, r: int, trials: int = 1, seed:
     removal keeps the set percolating.  One pass per trial suffices: removals
     only shrink closures, so a vertex that cannot be dropped now can never be
     dropped later.  Deterministic given the seed; the result percolates by
-    construction, so its size is an upper bound on the true minimum.
+    construction, so its size is an upper bound on the true minimum.  Its
+    masks are counted as the exhaustive search's are, |V| bits per edge,
+    and a count over MAX_SEARCH_BITS raises HypergraphTooLarge before any
+    is built.
     """
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    n = h.num_vertices
+    check_search_bits("the search masks", n * len(h.edges))
     # For r >= 1 the empty state 0 is closed, so a candidate percolates iff
     # folding spread over it from 0 reaches every vertex.
     spread = _neighbour_spread(_neighbours(h), r)
-    n = h.num_vertices
     full = (1 << n) - 1
     rng = random.Random(seed)
     best = frozenset(range(n))

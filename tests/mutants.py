@@ -44,7 +44,7 @@ MUTANTS = [
         "if not done < len(trace) < uninfected - 1:",
         [
             "tests/test_percolation.py::TestClosure::test_extremal_set_fills_interval_grid",
-            "tests/test_certificate.py::TestAudit::test_interval_family_audit",
+            "tests/test_certificate.py::TestAudit::test_seed_rank_bounds_any_percolating_set",
         ],
     ),
     (
@@ -188,8 +188,8 @@ MUTANTS = [
     (
         "audit closes on a fixed K",
         CERT,
-        "cert._hypergraphs[closed_on] = grid_hypergraph(spec, closed_on)",
-        'cert._hypergraphs[closed_on] = grid_hypergraph(spec, "K")',
+        "cert._hypergraphs[family] = grid_hypergraph(spec, family)",
+        'cert._hypergraphs[family] = grid_hypergraph(spec, "K")',
         [
             "tests/test_certificate.py::TestAudit::test_one_build_per_certificate_and_family",
             "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[P-spec3]",
@@ -197,24 +197,46 @@ MUTANTS = [
         ],
     ),
     (
+        # The proof covers supersets of U only; a full-rank set without some
+        # extremal vertex must close on the caller's family.
         "no K fallback when P fails at full rank",
         CERT,
-        '("P", family) if seed_rank == full',
-        '("P",) if seed_rank == full',
+        "grid_hypergraph(spec, family)",
+        'grid_hypergraph(spec, "P" if seed_rank == full else family)',
         [
             "tests/test_certificate.py::TestAudit::test_k_only_percolating_sets",
-            "tests/test_certificate.py::TestAudit::test_full_rank_k_audit_closes_on_p_first[case2]",
+            "tests/test_certificate.py::TestAudit::test_audit_builds_only_the_callers_family[case2]",
             "tests/test_certificate.py::TestAudit::test_permuted_extremal_sets_audit_ok[spec0]",
         ],
     ),
     (
         "P chosen below full rank",
         CERT,
-        "else (family,)):",
-        'else ("P",)):',
+        "grid_hypergraph(spec, family)",
+        'grid_hypergraph(spec, "P" if seed_rank < full else family)',
         [
-            "tests/test_certificate.py::TestAudit::test_full_rank_k_audit_closes_on_p_first[case0]",
+            "tests/test_certificate.py::TestAudit::test_audit_builds_only_the_callers_family[case0]",
             "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[K-spec3]",
+        ],
+    ),
+    (
+        "superset test reads any one extremal vertex",
+        CERT,
+        "ctx.u_index.keys() <= set(seeds.values())",
+        "not ctx.u_index.keys().isdisjoint(seeds.values())",
+        [
+            "tests/test_certificate.py::TestAudit::test_k_only_percolating_sets",
+            "tests/test_certificate.py::TestAudit::test_one_build_per_certificate_and_family",
+        ],
+    ),
+    (
+        "superset test without the rank check",
+        CERT,
+        "if seed_rank == full and ctx.u_index.keys()",
+        "if ctx.u_index.keys()",
+        [
+            "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[K-spec0]",
+            "tests/test_certificate.py::TestAudit::test_damaged_certificate_still_fails[P-spec2]",
         ],
     ),
     (
@@ -358,12 +380,49 @@ MUTANTS = [
     (
         "search mask guard disabled",
         SEARCH,
-        '    check_search_bits("the search masks", ',
-        '    (lambda *args: None)("the search masks", ',
+        '    check_search_bits("the search masks", num_vertices',
+        '    (lambda *args: None)("the search masks", num_vertices',
         [
             "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[rneighbour]",
             "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[minperc]",
             "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[wsat]",
+        ],
+    ),
+    (
+        "greedy bit guard disabled",
+        SEARCH,
+        '    check_search_bits("the search masks", n * len(h.edges))',
+        '    (lambda *args: None)("the search masks", n * len(h.edges))',
+        [
+            "tests/test_cli.py::TestHypergraphGuard::test_limit_is_the_most_search_bits[rneighbour-greedy]",
+        ],
+    ),
+    (
+        "row index 0 read as the last row",
+        EXACT,
+        "idx[0] < 1 or",
+        "idx[1] < 1 or",
+        [
+            "tests/test_exact.py::TestDependencyCoeffs::test_row_index_zero_is_rejected",
+        ],
+    ),
+    (
+        "ragged rows accepted",
+        EXACT,
+        "if ncols == 0 or any(",
+        "if ncols == 0 and any(",
+        [
+            "tests/test_exact.py::TestDeterminant::test_ragged_or_empty_rows_rejected[short]",
+            "tests/test_exact.py::TestDeterminant::test_ragged_or_empty_rows_rejected[long]",
+        ],
+    ),
+    (
+        "zero columns rejected",
+        EXACT,
+        "if ncols < 0:",
+        "if ncols <= 0:",
+        [
+            "tests/test_exact.py::TestEliminationBasis::test_zero_columns_hold_only_the_empty_vector",
         ],
     ),
 ]

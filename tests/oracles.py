@@ -117,6 +117,22 @@ def reference_neighbours(h) -> list[tuple[int, ...]]:
     ]
 
 
+def reference_r_neighbour_closure(neighbours, initial, r) -> set[int]:
+    """Closure of the r-neighbour process on the simple graph whose vertex v
+    has the neighbours ``neighbours[v]`` (as reference_neighbours gives
+    them): passes over every vertex infect each one with at least r infected
+    neighbours, until a pass infects none."""
+    infected = set(initial)
+    grew = True
+    while grew:
+        grew = False
+        for v, ns in enumerate(neighbours):
+            if v not in infected and len(infected.intersection(ns)) >= r:
+                infected.add(v)
+                grew = True
+    return infected
+
+
 def reference_grid_graph(dims) -> Hypergraph:
     """Grid graph on [n_1] x ... x [n_d] built by a coordinate loop: each
     vertex links to the next one along every axis, one stride further."""

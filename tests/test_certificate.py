@@ -699,27 +699,24 @@ class TestAudit:
         assert audit_percolating_set(damaged, seeds, family) == reference_audit(damaged, seeds, family)
 
     @pytest.mark.parametrize("case", K_ONLY_CASES)
-    def test_full_rank_k_audit_closes_on_p_first(self, case):
-        # At full rank a K audit settles percolation on P, and builds K only
-        # when P does not percolate; below full rank it closes on its own
-        # family.  A dataclasses.replace copy starts with no builds.
+    def test_audit_builds_only_the_callers_family(self, case):
+        # An audit of the extremal set or a superset is settled by proof and
+        # builds nothing.  Any other set, at full rank (the K-only sets) or
+        # below it, closes on the caller's family and builds that family
+        # only.  A dataclasses.replace copy starts with no builds.
         spec, ids = case
         cert = certified_lower_bound(spec, "P")
         u = extremal_set(spec)
         superset = u + [v for v in vertices(spec) if v not in set(u)][::2]
         k_only = [decode_vertex(spec, i) for i in ids]
         spy = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
-        for seed_sets, family, builds in [
-            ([u, superset], "K", ["P"]),
-            ([k_only], "K", ["P", "K"]),
-            ([u[1:]], "K", ["K"]),
-            ([u[1:]], "P", ["P"]),
-        ]:
-            fresh = dataclasses.replace(cert)
-            with spy as built:
-                reports = [audit_percolating_set(fresh, seeds, family) for seeds in seed_sets]
-            assert [c.args for c in built.call_args_list] == [(spec, fam) for fam in builds]
-            assert reports == [reference_audit(cert, seeds, family) for seeds in seed_sets]
+        for family in FAMILIES:
+            for seed_sets, builds in [([u, superset], []), ([k_only], [family]), ([u[1:]], [family])]:
+                fresh = dataclasses.replace(cert)
+                with spy as built:
+                    reports = [audit_percolating_set(fresh, seeds, family) for seeds in seed_sets]
+                assert [c.args for c in built.call_args_list] == [(spec, fam) for fam in builds]
+                assert reports == [reference_audit(cert, seeds, family) for seeds in seed_sets]
 
     def test_one_build_per_certificate_and_family(self):
         spec = GridSpec.cube(3, 3, 2, 2)
@@ -729,27 +726,24 @@ class TestAudit:
         moved = [v for v in u if v != (1, 1, 1)] + [(1, 3, 3)]
         seed_sets = [u, moved, u[1:]]
         cert = certified_lower_bound(spec, "K")
-        # The K audit of u is at full rank and builds P; moved, at full rank
-        # too, needs K.  The damaged certificate's u is below full rank, so
-        # its K audits build K, and its P audits P.
-        p_then_k = [(spec, "P"), (spec, "K")]
+        # The audits of u build nothing, so each family is built by its first
+        # audit of moved.  The damaged certificate's u is below full rank and
+        # closes, on K first too.
+        k_then_p = [(spec, "K"), (spec, "P")]
         spy = mock.patch.object(certificate, "grid_hypergraph", wraps=certificate.grid_hypergraph)
         with spy as built:
             reports = {fam: [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] for fam in FAMILIES}
-            assert [c.args for c in built.call_args_list] == p_then_k
+            assert [c.args for c in built.call_args_list] == k_then_p
             for fam in FAMILIES:
                 assert [audit_percolating_set(cert, seeds, fam) for seeds in seed_sets] == reports[fam]
             assert built.call_count == len(FAMILIES)
-            for other, order in [
-                (certified_lower_bound(spec, "K"), p_then_k),
-                (damaged_certificate(cert), p_then_k[::-1]),
-            ]:
+            for other in (certified_lower_bound(spec, "K"), damaged_certificate(cert)):
                 built.reset_mock()
                 for fam in FAMILIES:
                     for seeds in seed_sets:
                         audit_percolating_set(other, seeds, fam)
                         audit_percolating_set(other, seeds, fam)
-                assert [c.args for c in built.call_args_list] == order
+                assert [c.args for c in built.call_args_list] == k_then_p
         for fam, fam_reports in reports.items():
             assert fam_reports == [reference_audit(cert, seeds, fam) for seeds in seed_sets]
         assert [r.percolated for r in reports["K"]] == [True, True, False]

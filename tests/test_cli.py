@@ -265,6 +265,36 @@ class TestAudit:
         assert data["initialSize"] == 5
         assert data["ok"] is True
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_extremal_set_and_supersets_build_no_hypergraph(self, capsys, monkeypatch, family):
+        # The percolation proof settles an audit of U or of a superset of U;
+        # a set without some extremal vertex closes, on the caller's family.
+        spec = GridSpec.cube(3, 3, 2, 2)
+        u_ids = [grid.encode_vertex(spec, v) for v in grid.extremal_set(spec)]
+        argv = ["audit", "--d", "3", "--n", "3", "--t", "2", "--r", "2", "--family", family]
+
+        def refuse(spec, family):
+            raise AssertionError(f"the audit built the {family} hypergraph")
+
+        monkeypatch.setattr(certificate, "grid_hypergraph", refuse)
+        for ids in (None, u_ids + [26], range(spec.num_vertices)):
+            infected = [] if ids is None else ["--infected", ",".join(map(str, ids))]
+            code, data = run_json(capsys, argv + infected)
+            assert code == 0
+            assert data["ok"] is True
+            assert data["stepsInSpan"] == [True] * (spec.num_vertices - data["initialSize"])
+        built = []
+
+        def spy(spec, family):
+            built.append(family)
+            return percolation.grid_hypergraph(spec, family)
+
+        monkeypatch.setattr(certificate, "grid_hypergraph", spy)
+        code, data = run_json(capsys, argv + ["--remove", "0"])
+        assert code == 1
+        assert data["percolated"] is False
+        assert built == [family]
+
 
 class TestMinperc:
     def test_exhaustive(self, capsys):
@@ -628,7 +658,9 @@ class TestHypergraphGuard:
         (["minperc", "--exhaustive", "--d", "2", "--r", "2", "--n", "3", "--t", "2", "--family", "P"], 9 * (4 + 3 * 9)),
         # Over the 400 bits of its 4 images' masks.
         (["wsat", "--n", "5", "--k", "3"], 10 * (10 + 4 * 10)),
-    ], ids=["rneighbour", "minperc", "wsat"])
+        # The greedy search has no images: |V|·|E|.
+        (["rneighbour", "--grid", "3,3", "--r", "2"], 9 * 12),
+    ], ids=["rneighbour", "minperc", "wsat", "rneighbour-greedy"])
     def test_limit_is_the_most_search_bits(self, capsys, monkeypatch, argv, bits):
         monkeypatch.setattr(percolation, "MAX_SEARCH_BITS", bits)
         assert main(argv) == 0

@@ -138,6 +138,14 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             det([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[]]], ids=["short", "long", "empty-row"])
+    def test_ragged_or_empty_rows_rejected(self, rows):
+        # Every reader of a matrix rejects it before any elimination, which
+        # would reject some of these shapes with another message.
+        for read in (det, matrix_rank, lambda m: verify_general_position(m, 3)):
+            with pytest.raises(ValueError, match="non-empty and of equal length"):
+                read(rows)
+
 
 class TestRank:
     def test_identity(self):
@@ -267,6 +275,13 @@ class TestDependencyCoeffs:
         with pytest.raises(TypeError):
             dependency_coeffs(m, (1.9, 2, 3.2))
 
+    def test_row_index_zero_is_rejected(self):
+        # Index 0 would read the last row through Python's negative indexing.
+        m = build_general_position_matrix(4, 3)
+        for indices in [(0, 2, 3), (0, 1, 4)]:
+            with pytest.raises(ValueError, match=r"row index outside \[1, 4\]"):
+                dependency_coeffs(m, indices)
+
     def test_zero_coefficient_detected(self):
         # rows 1, 2, 4 of this matrix are dependent with a zero coefficient on
         # row 1, so the matrix is not in general position
@@ -321,6 +336,13 @@ class TestEliminationBasis:
             EliminationBasis(2.5)
         with pytest.raises(ValueError):
             EliminationBasis(-1)
+
+    def test_zero_columns_hold_only_the_empty_vector(self):
+        basis = EliminationBasis(0)
+        assert not basis.insert([])
+        assert basis.rank == 0
+        with pytest.raises(ValueError, match="expected 0 entries"):
+            basis.insert([0])
 
     def test_non_rational_entries_rejected(self):
         for bad in (0.5, Fraction(1, 2), Fraction(4, 2), Decimal("0.5"), Decimal(2)):

@@ -29,7 +29,13 @@ from gridperc.search import (
     min_r_neighbour_percolating,
     r_neighbour_closure,
 )
-from oracles import reference_grid_graph, reference_hypercube_graph, reference_keeps_adjacency, reference_neighbours
+from oracles import (
+    reference_grid_graph,
+    reference_hypercube_graph,
+    reference_keeps_adjacency,
+    reference_neighbours,
+    reference_r_neighbour_closure,
+)
 
 
 def reachable_from(g, sources):
@@ -106,8 +112,9 @@ def hypergraph_oracle(h):
 
 
 def graph_oracle(g, r):
-    mandatory = [v for v, ns in enumerate(reference_neighbours(g)) if len(ns) < r]
-    return mandatory, lambda cand: len(r_neighbour_closure(g, cand, r)) == g.num_vertices
+    neighbours = reference_neighbours(g)
+    mandatory = [v for v, ns in enumerate(neighbours) if len(ns) < r]
+    return mandatory, lambda cand: len(reference_r_neighbour_closure(neighbours, cand, r)) == g.num_vertices
 
 
 def outcome(search, *args, **kwargs):
